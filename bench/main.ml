@@ -1007,6 +1007,8 @@ let store_spill () =
       ("store_spilled_entries", Obs.Json.Int ss.Store.Memo.spilled_entries);
       ("store_spill_runs", Obs.Json.Int ss.Store.Memo.spill_runs);
       ("store_bytes_spilled", Obs.Json.Int ss.Store.Memo.bytes_spilled);
+      ("store_live_runs", Obs.Json.Int ss.Store.Memo.live_runs);
+      ("store_compactions", Obs.Json.Int ss.Store.Memo.compactions);
       ("store_evictions", Obs.Json.Int ss.Store.Memo.evictions);
       ("store_disk_hits", Obs.Json.Int ss.Store.Memo.disk_hits);
       ("store_cache_hit_rate", Obs.Json.Float (Store.Memo.cache_hit_rate ss));

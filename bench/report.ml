@@ -77,6 +77,9 @@ let store_json (s : Store.Memo.stats) =
       ("write_amplification", Obs.Json.Float (Store.Memo.write_amplification s));
       ("disk_hits", Obs.Json.Int s.disk_hits);
       ("resolved", Obs.Json.Int s.resolved);
+      ("live_runs", Obs.Json.Int s.live_runs);
+      ("compactions", Obs.Json.Int s.compactions);
+      ("bytes_compacted", Obs.Json.Int s.bytes_compacted);
     ]
 
 let set_store_block s = Obs.Results.set_store_block (store_json s)

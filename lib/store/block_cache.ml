@@ -74,6 +74,15 @@ let touch t n =
   unlink t n;
   push_front t n
 
+(* drop an unpinned node *)
+let evict t n =
+  unlink t n;
+  Hashtbl.remove t.tbl n.idx;
+  t.resident <- t.resident - 1;
+  t.unpinned <- t.unpinned - 1;
+  t.evictions <- t.evictions + 1;
+  if Obs.Ring.enabled () then Obs.Ring.record Obs.Ring.Store_evict t.shard n.idx
+
 (* Evict from the LRU end, skipping pinned nodes. If everything resident
    is pinned the cache temporarily exceeds capacity — a pinned block must
    stay byte-stable for whoever pinned it. *)
@@ -83,21 +92,34 @@ let evict_to_capacity t =
     | Some n when t.unpinned <= t.capacity -> ignore n
     | Some n ->
         let before = n.prev in
-        if n.pins = 0 then begin
-          unlink t n;
-          Hashtbl.remove t.tbl n.idx;
-          t.resident <- t.resident - 1;
-          t.unpinned <- t.unpinned - 1;
-          t.evictions <- t.evictions + 1;
-          if Obs.Ring.enabled () then
-            Obs.Ring.record Obs.Ring.Store_evict t.shard n.idx
-        end;
+        if n.pins = 0 then evict t n;
         go before
   in
   if t.unpinned > t.capacity then go t.tail
 
+(* At capacity, a fault takes over the LRU unpinned block's buffer
+   instead of allocating one: every block-sized [Bytes.create] goes
+   straight to the major heap, and a budgeted solve faults millions. *)
+let take_victim t =
+  let rec lru = function
+    | None -> None
+    | Some n when n.pins = 0 -> Some n
+    | Some n -> lru n.prev
+  in
+  if t.unpinned < t.capacity then None
+  else
+    match lru t.tail with
+    | None -> None
+    | Some n ->
+        evict t n;
+        Some n.data
+
 let fault t fd idx =
-  let data = Bytes.create t.block_size in
+  let data =
+    match take_victim t with
+    | Some d -> d
+    | None -> Bytes.create t.block_size
+  in
   let off = idx * t.block_size in
   ignore (Unix.lseek fd off Unix.SEEK_SET);
   (* a block read can come back in pieces; loop until EOF or full *)

@@ -6,8 +6,11 @@
     through an in-RAM cache of recently-touched blocks, and a block can
     be {e pinned} while a caller holds a reference into its bytes —
     pinned blocks are never evicted, evictions take the least-recently
-    used unpinned block. Segment runs start on block boundaries and are
-    never rewritten, so a cached block can never go stale.
+    used unpinned block, and a fault at capacity reuses that block's
+    buffer, so a full cache allocates nothing. Segment runs start on
+    block boundaries and are immutable, so a cached block goes stale
+    only when a dead-space rewrite replaces the whole file, which
+    {!invalidate}s the cache.
 
     One cache serves one file ({!Segment} keeps a cache per shard
     segment). NOT thread-safe: the owning shard's mutex serializes every
@@ -61,8 +64,9 @@ val cached_blocks : t -> int list
     (writes bypass the cache; runs are read back through it). *)
 val note_write : t -> int -> unit
 
-(** [invalidate t] drops every resident unpinned block (used when the
-    underlying file is truncated during recovery). *)
+(** [invalidate t] drops every resident unpinned block (used when
+    {!Segment} renames a rewritten file over the one the blocks came
+    from). *)
 val invalidate : t -> unit
 
 val stats : t -> stats

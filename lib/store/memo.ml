@@ -46,6 +46,9 @@ type stats = {
   bytes_written : int;
   disk_hits : int;
   resolved : int;
+  live_runs : int;
+  compactions : int;
+  bytes_compacted : int;
 }
 
 (* Per-entry RAM cost estimate: the Slice_tbl entry record, the owned
@@ -102,12 +105,6 @@ let create ?dir ?(shards = 8) ?(block_size = 4096) ~budget () =
           (Printf.sprintf "blunting-store-%d-%d" (Unix.getpid ())
              (Atomic.fetch_and_add store_seq 1))
   in
-  (try Unix.mkdir dir 0o700 with
-  | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  | Unix.Unix_error (e, _, _) ->
-      failwith
-        (Printf.sprintf "Store.Memo: cannot create %s: %s" dir
-           (Unix.error_message e)));
   (* half the budget for the RAM tier, half for the block caches *)
   let water = max 4096 (budget / 2 / nshards) in
   let cache_blocks = max 1 (budget / 2 / nshards / block_size) in
@@ -152,17 +149,26 @@ let shard_count t = Array.length t.shards
 
 let[@inline] shard_of_hash t h = t.shards.((h lsr 17) land t.shard_mask)
 
+(* The store's directory is made by the first spill of any shard, so a
+   budget that never spills touches no file system at all. *)
 let segment sh =
   match sh.seg with
   | Some s -> s
   | None ->
+      let dir = Filename.dirname sh.seg_path in
+      (try Unix.mkdir dir 0o700 with
+      | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+      | Unix.Unix_error (e, _, _) ->
+          failwith
+            (Printf.sprintf "Store.Memo: cannot create %s: %s" dir
+               (Unix.error_message e)));
       let s = Segment.create ~path:sh.seg_path ~cache:sh.cache in
       sh.seg <- Some s;
       s
 
-(* Write every resolved RAM entry out as one sorted run and rebuild the
-   shard table with only the live claims. Called with the shard lock
-   held, from [resolve]. *)
+(* Write every resolved RAM entry out as one sorted run (which the
+   segment may then compact) and rebuild the shard table with only the
+   live claims. Called with the shard lock held, from [resolve]. *)
 let spill sh =
   let entries = Array.make sh.ram_done (0, "", 0.0) in
   let n = ref 0 in
@@ -257,7 +263,11 @@ let resolve t key v =
       sh.resident <- sh.resident + String.length key + entry_overhead);
   sh.ram_done <- sh.ram_done + 1;
   sh.s_resolved <- sh.s_resolved + 1;
-  if sh.resident > sh.water && sh.ram_done > 0 then spill sh;
+  (if sh.resident > sh.water && sh.ram_done > 0 then
+     try spill sh
+     with e ->
+       Mutex.unlock sh.mutex;
+       raise e);
   Mutex.unlock sh.mutex
 
 let get t key =
@@ -306,12 +316,16 @@ let stats t =
       bytes_written = 0;
       disk_hits = 0;
       resolved = 0;
+      live_runs = 0;
+      compactions = 0;
+      bytes_compacted = 0;
     }
   in
   Array.fold_left
     (fun acc sh ->
       Mutex.lock sh.mutex;
       let c = Block_cache.stats sh.cache in
+      let seg f = match sh.seg with Some s -> f s | None -> 0 in
       let acc =
         {
           acc with
@@ -327,6 +341,9 @@ let stats t =
           bytes_written = acc.bytes_written + c.Block_cache.bytes_written;
           disk_hits = acc.disk_hits + sh.s_disk_hits;
           resolved = acc.resolved + sh.s_resolved;
+          live_runs = acc.live_runs + seg Segment.runs;
+          compactions = acc.compactions + seg Segment.compactions;
+          bytes_compacted = acc.bytes_compacted + seg Segment.bytes_compacted;
         }
       in
       Mutex.unlock sh.mutex;
@@ -348,10 +365,11 @@ let write_amplification s =
 let pp_stats ppf s =
   Fmt.pf ppf
     "budget %d B, resident %d B, spilled %d entries in %d runs (%d B), %d \
-     disk hits, cache %d/%d hits (%.1f%%), %d evictions, read amp %.2f, \
-     write amp %.2f"
+     live runs after %d compactions (%d B compacted), %d disk hits, cache \
+     %d/%d hits (%.1f%%), %d evictions, read amp %.2f, write amp %.2f"
     s.budget_bytes s.resident_bytes s.spilled_entries s.spill_runs
-    s.bytes_spilled s.disk_hits s.cache_hits
+    s.bytes_spilled s.live_runs s.compactions s.bytes_compacted s.disk_hits
+    s.cache_hits
     (s.cache_hits + s.cache_misses)
     (100.0 *. cache_hit_rate s)
     s.evictions (read_amplification s) (write_amplification s)

@@ -22,11 +22,14 @@
     shard is written out as one sorted run and the shard's RAM tier is
     rebuilt holding only live claims (claims never spill — they are
     transient and bounded by the solve's recursion depth or frontier).
-    A probe that misses RAM checks the shard's runs newest-first (bloom
-    filter, then binary search through the block cache).
+    The segment compacts its runs as they accumulate ({!Segment}), so a
+    probe that misses RAM checks O(log spills) live runs newest-first:
+    bloom filter, then in-RAM fence pointers and one fence-group read
+    through the block cache.
 
-    No file is created until the first spill, so an over-provisioned
-    budget costs a pointer check per probe and nothing else. *)
+    No file or directory is created until the first spill, so an
+    over-provisioned budget costs a pointer check per probe and nothing
+    else. *)
 
 type t
 
@@ -34,23 +37,27 @@ type stats = {
   budget_bytes : int;
   resident_bytes : int;  (** current in-RAM tier estimate, all shards *)
   spilled_entries : int;  (** entries living in segment files *)
-  spill_runs : int;
+  spill_runs : int;  (** runs appended by spills (before compaction) *)
   bytes_spilled : int;  (** file bytes appended by spills *)
   payload_bytes : int;  (** key + value bytes of spilled entries *)
   evictions : int;  (** block-cache evictions *)
   cache_hits : int;
   cache_misses : int;
   bytes_read : int;
-  bytes_written : int;
+  bytes_written : int;  (** spill and compaction writes *)
   disk_hits : int;  (** probes answered from a segment file *)
   resolved : int;  (** total resolved entries (RAM + disk) *)
+  live_runs : int;  (** runs still live across all segments *)
+  compactions : int;  (** run merges *)
+  bytes_compacted : int;  (** file bytes written by merges and rewrites *)
 }
 
 (** [create ?dir ?shards ?block_size ~budget ()] — a store that starts
     spilling once its RAM tier estimate exceeds [budget] bytes (clamped
     to at least 64 KiB). Segment files live under [dir] (default: a
-    fresh directory under the system temp dir, removed on {!close} and
-    at exit). [shards] (default 8) is rounded up to a power of two. *)
+    fresh directory under the system temp dir), created by the first
+    spill and removed on {!close} and at exit. [shards] (default 8) is
+    rounded up to a power of two. *)
 val create : ?dir:string -> ?shards:int -> ?block_size:int -> budget:int -> unit -> t
 
 val shard_count : t -> int
@@ -78,9 +85,11 @@ val resolved : t -> int
 
 val stats : t -> stats
 
-(** [cache_hit_rate s] / [read_amplification s] (bytes read per spilled
-    byte) / [write_amplification s] (file bytes per payload byte) —
-    derived figures used by the v6 telemetry block. *)
+(** [cache_hit_rate s] / [read_amplification s] (bytes read through the
+    block caches per spilled byte; merges read their inputs directly,
+    about [bytes_compacted] more) / [write_amplification s] (file bytes
+    written per payload byte, compaction writes included) — derived
+    figures used by the v6 telemetry block. *)
 val cache_hit_rate : stats -> float
 
 val read_amplification : stats -> float

@@ -1,6 +1,8 @@
 (* The out-of-core store's soundness battery: the segment run format
    round-trips through close/reopen, crash-truncated tails are recovered
-   away without losing complete runs, the block cache evicts in LRU order
+   away without losing complete runs, compacted segments recover exactly
+   their live runs (a torn merge leaving its inputs live), fence-pointer
+   probes handle every group-boundary edge, the block cache evicts in LRU order
    and never evicts a pinned block, the memo upholds the exactly-once
    claim protocol across spills, and — the property the whole engine
    exists for — budgeted solves are bit-identical to in-RAM solves
@@ -130,6 +132,235 @@ let test_segment_recovery () =
   Buffer.add_string b (String.make 6 '\x00');
   Buffer.add_string b "only-a-few-record-bytes";
   crash_tail (Buffer.contents b)
+
+
+(* ---- compaction and its recovery ------------------------------------- *)
+
+let seg_at ?block_size path =
+  Store.Segment.create ~path
+    ~cache:(Store.Block_cache.create ?block_size ~capacity:4 ())
+
+let layout = Alcotest.(list (pair int int))
+
+(* Twenty spills of 30 entries: the binary-counter policy must merge
+   them down to a handful of live runs, reclaim the superseded bytes,
+   and a reopen must recover exactly the live runs, every key once. *)
+let test_segment_compaction_recovery () =
+  with_scratch @@ fun dir ->
+  let path = Filename.concat dir "seg.blk" in
+  let seg = seg_at path in
+  let appended = ref 0 in
+  for r = 0 to 19 do
+    appended :=
+      !appended
+      + Store.Segment.append_run seg
+          (Array.init 30 (fun i -> entry ((30 * r) + i)))
+  done;
+  Alcotest.(check bool)
+    "compactions ran" true
+    (Store.Segment.compactions seg > 0);
+  (* 600 records: levels strictly decrease from oldest to newest *)
+  Alcotest.(check bool) "live runs bounded by the binary counter" true
+    (Store.Segment.runs seg <= 4);
+  Alcotest.(check int)
+    "no entry lost or duplicated" 600
+    (Store.Segment.entries seg);
+  probe_all seg 600;
+  let size = Store.Segment.size seg in
+  let live = Store.Segment.live_bytes seg in
+  Alcotest.(check bool)
+    "file within twice its live bytes" true
+    (size <= 2 * live);
+  Alcotest.(check bool) "superseded bytes were reclaimed" true
+    (size < !appended + Store.Segment.bytes_compacted seg);
+  let before = Store.Segment.layout seg in
+  Store.Segment.close seg;
+  Alcotest.(check bool) "no rewrite temp file left" false
+    (Sys.file_exists (path ^ ".tmp"));
+  let seg2 = seg_at path in
+  Alcotest.check layout "live runs recovered" before
+    (Store.Segment.layout seg2);
+  Alcotest.(check int) "size recovered" size (Store.Segment.size seg2);
+  (* 600 records over 600 distinct keys, all found: each exactly once *)
+  Alcotest.(check int) "entries recovered" 600 (Store.Segment.entries seg2);
+  probe_all seg2 600;
+  Store.Segment.close seg2
+
+(* A merge torn mid-write: its header promises records past end-of-file,
+   so recovery drops it and both inputs stay live with every key. *)
+let test_segment_torn_merge () =
+  with_scratch @@ fun dir ->
+  let path = Filename.concat dir "seg.blk" in
+  let seg = seg_at path in
+  let run lo n = Array.init n (fun i -> entry (lo + i)) in
+  let _ = Store.Segment.append_run seg (run 0 300) in
+  let _ = Store.Segment.append_run seg (run 300 64) in
+  let pre_merge = Store.Segment.layout seg in
+  let off_c = Store.Segment.size seg in
+  (* 64 + 64 records merge (equal levels); 128 stays below 300's level *)
+  let _ = Store.Segment.append_run seg (run 364 64) in
+  Alcotest.(check int) "one merge" 1 (Store.Segment.compactions seg);
+  let off_m, merged =
+    match Store.Segment.layout seg with
+    | [ (off_m, n); (0, 300) ] -> (off_m, n)
+    | l -> Alcotest.failf "unexpected layout (%d runs)" (List.length l)
+  in
+  Alcotest.(check int) "merged run holds both inputs" 128 merged;
+  Store.Segment.close seg;
+  (* intact, the merged run retires its inputs on reopen *)
+  let seg = seg_at path in
+  Alcotest.check layout "merged run supersedes its inputs"
+    [ (off_m, 128); (0, 300) ]
+    (Store.Segment.layout seg);
+  Store.Segment.close seg;
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
+  let hdr = Bytes.create 16 in
+  ignore (Unix.lseek fd off_m Unix.SEEK_SET);
+  Alcotest.(check int) "header read" 16 (Unix.read fd hdr 0 16);
+  Alcotest.(check string) "merged run magic" "BLRN" (Bytes.sub_string hdr 0 4);
+  Alcotest.(check int) "supersedes flag" 1 (Bytes.get_uint16_le hdr 10);
+  let off_b = fst (List.hd pre_merge) in
+  Alcotest.(check int) "supersedes the older input's block" (off_b / 4096)
+    (Int32.to_int (Bytes.get_int32_le hdr 12));
+  Unix.ftruncate fd (off_m + 16 + 10);
+  Unix.close fd;
+  let seg2 = seg_at path in
+  Alcotest.check layout "pre-merge runs recovered"
+    ((off_c, 64) :: pre_merge)
+    (Store.Segment.layout seg2);
+  Alcotest.(check int)
+    "torn merge truncated away" off_m
+    (Store.Segment.size seg2);
+  probe_all seg2 428;
+  Store.Segment.close seg2
+
+(* Hand-encode runs in the pre-compaction format (bytes 10-15 zero) from
+   the documented layout: a reopen takes them as they are. *)
+let test_segment_legacy_format () =
+  with_scratch @@ fun dir ->
+  let path = Filename.concat dir "seg.blk" in
+  let bs = 4096 in
+  let encode entries =
+    let entries = Array.copy entries in
+    Array.sort
+      (fun (h1, k1, _) (h2, k2, _) ->
+        compare (h1, String.length k1, k1) (h2, String.length k2, k2))
+      entries;
+    let padded =
+      Array.fold_left (fun m (_, k, _) -> max m (String.length k)) 1 entries
+    in
+    let b = Buffer.create bs in
+    Buffer.add_string b "BLRN";
+    Buffer.add_int32_le b (Int32.of_int (Array.length entries));
+    Buffer.add_uint16_le b padded;
+    Buffer.add_string b (String.make 6 '\x00');
+    Array.iter
+      (fun (h, k, v) ->
+        Buffer.add_int64_le b (Int64.of_int h);
+        Buffer.add_uint16_le b (String.length k);
+        Buffer.add_string b k;
+        Buffer.add_string b (String.make (padded - String.length k) '\x00');
+        Buffer.add_int64_le b (Int64.bits_of_float v))
+      entries;
+    let n = Buffer.length b in
+    Buffer.add_string b (String.make ((n + bs - 1) / bs * bs - n) '\x00');
+    Buffer.contents b
+  in
+  (* two equal-level runs: an append would merge them, a reopen must not *)
+  let file =
+    encode (Array.init 40 entry)
+    ^ encode (Array.init 40 (fun i -> entry (40 + i)))
+  in
+  let oc = open_out_bin path in
+  output_string oc file;
+  close_out oc;
+  let seg = seg_at path in
+  Alcotest.check layout "both runs open as written" [ (bs, 40); (0, 40) ]
+    (Store.Segment.layout seg);
+  Alcotest.(check int)
+    "size unchanged" (String.length file)
+    (Store.Segment.size seg);
+  probe_all seg 80;
+  Store.Segment.close seg
+
+(* ---- fence pointers ---------------------------------------------------- *)
+
+(* Fixed-width synthetic entries whose hash the test picks: [append_run]
+   takes hashes as given, so collisions and fence edges are placeable. *)
+let synth ~hash i = (hash, Printf.sprintf "k%07d" i, float_of_int i +. 0.5)
+
+let expect_found seg (hash, key, v) =
+  match Store.Segment.find_string seg ~hash ~key with
+  | Some got -> exact (Printf.sprintf "probe %s" key) v got
+  | None -> Alcotest.failf "key %s (hash %d) lost" key hash
+
+let expect_absent seg ~hash key =
+  Alcotest.(check (option (float 0.0)))
+    (Printf.sprintf "absent %s (hash %d)" key hash)
+    None
+    (Store.Segment.find_string seg ~hash ~key)
+
+let cache_reads c =
+  let s = Store.Block_cache.stats c in
+  s.Store.Block_cache.hits + s.Store.Block_cache.misses
+
+let test_fence_edges () =
+  with_scratch @@ fun dir ->
+  (* 64-byte blocks, 26-byte records: fence groups of 2 records *)
+  let small name = seg_at ~block_size:64 (Filename.concat dir name) in
+  (* five keys share hash 20 across three groups: [10 20][20 20][20 20][30] *)
+  let seg = small "straddle" in
+  let es =
+    Array.of_list
+      ((synth ~hash:10 0 :: List.init 5 (fun i -> synth ~hash:20 (1 + i)))
+      @ [ synth ~hash:30 6 ])
+  in
+  let _ = Store.Segment.append_run seg (Array.copy es) in
+  Array.iter (expect_found seg) es;
+  expect_absent seg ~hash:20 "k9999999";
+  expect_absent seg ~hash:20 "k0000000";
+  Store.Segment.close seg;
+  (* different padded widths merged into one run *)
+  let seg = small "widths" in
+  let short = Array.init 4 (fun i -> synth ~hash:(100 + (2 * i)) i) in
+  let long =
+    Array.init 4 (fun i ->
+        ( 101 + (2 * i),
+          Printf.sprintf "a-much-longer-key-%d" i,
+          float_of_int i ))
+  in
+  let _ = Store.Segment.append_run seg (Array.copy short) in
+  let _ = Store.Segment.append_run seg (Array.copy long) in
+  Alcotest.(check int) "equal levels merged" 1 (Store.Segment.runs seg);
+  Alcotest.(check int) "one compaction" 1 (Store.Segment.compactions seg);
+  Array.iter (expect_found seg) short;
+  Array.iter (expect_found seg) long;
+  Store.Segment.close seg;
+  (* a run of exactly one group: 4096-byte blocks hold 157 such records *)
+  let seg = seg_at (Filename.concat dir "one-group") in
+  let es =
+    Array.init 157 (fun i ->
+        synth ~hash:(Par.Slice_tbl.hash_string (string_of_int i)) i)
+  in
+  let _ = Store.Segment.append_run seg (Array.copy es) in
+  Array.iter (expect_found seg) es;
+  expect_absent seg ~hash:(let h, _, _ = es.(0) in h) "k9999999";
+  Store.Segment.close seg;
+  (* probes below the first fence and above the last one *)
+  let cache = Store.Block_cache.create ~block_size:64 ~capacity:4 () in
+  let seg = Store.Segment.create ~path:(Filename.concat dir "ends") ~cache in
+  let es = Array.init 50 (fun i -> synth ~hash:(1000 + (20 * i)) i) in
+  let _ = Store.Segment.append_run seg (Array.copy es) in
+  Array.iter (expect_found seg) es;
+  let reads = cache_reads cache in
+  for h = 0 to 999 do expect_absent seg ~hash:h "k0000000" done;
+  Alcotest.(check int)
+    "below the first fence reads nothing" reads (cache_reads cache);
+  for h = 1981 to 2980 do expect_absent seg ~hash:h "k0000049" done;
+  expect_absent seg ~hash:max_int "k0000049";
+  Alcotest.(check bool) "some probes above the last fence passed the bloom" true
+    (cache_reads cache > reads);
+  Store.Segment.close seg
 
 (* ---- Store.Block_cache ----------------------------------------------- *)
 
@@ -274,7 +505,13 @@ let test_memo_stats_shape () =
      r >= 0.0 && r <= 1.0);
   Alcotest.(check bool)
     "resident estimate positive" true
-    (s.Store.Memo.resident_bytes >= 0)
+    (s.Store.Memo.resident_bytes >= 0);
+  Alcotest.(check bool)
+    "spills compacted into fewer live runs" true
+    (s.Store.Memo.compactions > 0
+    && s.Store.Memo.bytes_compacted > 0
+    && s.Store.Memo.live_runs > 0
+    && s.Store.Memo.live_runs < s.Store.Memo.spill_runs)
 
 (* ---- budgeted solves are bit-identical to in-RAM solves --------------- *)
 
@@ -366,6 +603,53 @@ let test_full_stats_identical_seq () =
   Alcotest.(check int) "max depth" st_ram.Mdp.Solver.max_depth
     st_sp.Mdp.Solver.max_depth
 
+
+(* The A.3.2 solve, Prob[ABD^2] = 5/8, under the 1 MiB budget the STORE
+   bench uses: afterwards every shard's segment, reopened from disk,
+   holds at most 10 live runs in a file at most twice their bytes. *)
+let test_k2_compaction_bounds () =
+  let saved = Filename.get_temp_dir_name () in
+  let tmp = scratch_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Model.Weakener_abd.reset ();
+      Filename.set_temp_dir_name saved;
+      Array.iter
+        (fun d -> rm_rf (Filename.concat tmp d))
+        (try Sys.readdir tmp with Sys_error _ -> [||]);
+      rm_rf tmp)
+  @@ fun () ->
+  Filename.set_temp_dir_name tmp;
+  Model.Weakener_abd.reset ();
+  let v = Model.Weakener_abd.bad_probability ~memo_budget:(1 lsl 20) ~k:2 () in
+  exact "Prob[ABD^2]" 0.625 v;
+  let s = Option.get (Model.Weakener_abd.store_stats ()) in
+  let dir =
+    match Sys.readdir tmp with
+    | [| d |] -> Filename.concat tmp d
+    | a ->
+        Alcotest.failf "expected one store directory, found %d"
+          (Array.length a)
+  in
+  let runs = ref 0 and entries = ref 0 in
+  Array.iter
+    (fun f ->
+      let seg = seg_at (Filename.concat dir f) in
+      let n = Store.Segment.runs seg in
+      Alcotest.(check bool) (f ^ ": at most 10 live runs") true (n <= 10);
+      Alcotest.(check bool)
+        (f ^ ": file within twice its live bytes")
+        true
+        (Store.Segment.size seg <= 2 * Store.Segment.live_bytes seg);
+      runs := !runs + n;
+      entries := !entries + Store.Segment.entries seg;
+      Store.Segment.close seg)
+    (Sys.readdir dir);
+  Alcotest.(check int)
+    "recovered live runs match the stats" s.Store.Memo.live_runs !runs;
+  Alcotest.(check int) "recovered entries match the stats"
+    s.Store.Memo.spilled_entries !entries
+
 let test_budget_parse () =
   let ok s = function
     | exp -> (
@@ -391,6 +675,13 @@ let tests =
       test_segment_roundtrip;
     Alcotest.test_case "segment crash-tail recovery" `Quick
       test_segment_recovery;
+    Alcotest.test_case "segment compaction round-trip through reopen" `Quick
+      test_segment_compaction_recovery;
+    Alcotest.test_case "segment torn merge recovers its inputs" `Quick
+      test_segment_torn_merge;
+    Alcotest.test_case "segment pre-compaction format opens unchanged" `Quick
+      test_segment_legacy_format;
+    Alcotest.test_case "segment fence-pointer edges" `Quick test_fence_edges;
     Alcotest.test_case "block cache LRU order and pinning" `Quick
       test_block_cache_lru;
     Alcotest.test_case "memo exactly-once across spills" `Quick
@@ -403,4 +694,6 @@ let tests =
       (test_games_deterministic ~jobs:4);
     Alcotest.test_case "full solver stats identical at jobs 1" `Slow
       test_full_stats_identical_seq;
+    Alcotest.test_case "k=2 budgeted solve keeps segments compact" `Slow
+      test_k2_compaction_bounds;
   ]
