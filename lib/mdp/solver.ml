@@ -158,55 +158,177 @@ let effective_budget = function
   | Some b -> if b > 0 then Some b else None
   | None -> !default_memo_budget
 
-(* ---- solver instances (shared by both functors) -----------------------
+(* ---- the memo contract -------------------------------------------------
 
-   All mutable solver state lives in an instance, so parallel solves can
-   keep per-worker counters separate and merge them afterwards. States
-   are keyed by their canonical [G.encode] bytes: probing hashes a flat
-   short key instead of walking a deep model state with the polymorphic
-   hash (which either stops early and collides, or is told to traverse
-   ~500 nodes per probe). The key is encoded into the instance's
-   reusable [keybuf] and the memo is probed on the (buffer, length)
-   slice — a probe of an already-memoized state allocates nothing at
-   all. Nothing here mentions the game, so [Make] and [Make_inplace]
-   share the machinery. *)
+   Every memo probe goes through one claim record. [probe] answers with
+   the resolved value, the owner of a live claim, or — the key being new
+   — a claim installed for the caller, with the handle [resolve] takes
+   once the value is known. [get] reads a resolved value by key: the
+   helping protocol's await. Claims are exactly-once: one caller per key
+   is told [Claimed]. States are keyed by their canonical encoding,
+   written into the caller's reusable [Key.buf] and probed as a
+   (buffer, length) slice, so a probe of a resolved state allocates no
+   key. Three backends build the record:
+   - the instance's {!Par.Slice_tbl}, probed by worker 0 alone: the
+     handle is the table entry, overwritten in place on resolve (entries
+     survive table growth, so there is no second lookup);
+   - a {!Par.Sharded_tbl} shared by parallel workers: the handle is the
+     key string;
+   - a {!Store.Memo}, once a memo budget is armed: the handle is the key
+     string too. *)
 
-type mark = In_progress | Value of float
+type 'h probe = Value of float | Busy of int | Claimed of 'h
 
-type instance = {
-  memo : mark Par.Slice_tbl.t;
-  keybuf : Key.buf;
-  mutable store : Store.Memo.t option;  (* armed by a memo budget *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable states : int;  (* states memoized with a final Value *)
-  mutable max_depth : int;
-  mutable prune_cuts : int;  (* subtrees cut by interval pruning *)
-  mutable progress_hook : (progress -> unit) option;
-  mutable progress_interval : int;
-  mutable solve_start : float;
-  mutable solve_base_misses : int;  (* misses when the root call began *)
+type 'h claims = {
+  probe : Key.buf -> owner:int -> 'h probe;
+  resolve : 'h -> float -> unit;
+  get : string -> float option;
 }
 
-let make_instance () =
+type memo = Memo : 'h claims -> memo
+
+(* A Slice_tbl entry stores the probe answer itself — [Busy 0] while
+   worker 0 evaluates the state, [Value v] once resolved — so a probe of
+   a present key hands back the stored answer and allocates nothing. *)
+type slot = Slot of slot probe Par.Slice_tbl.entry [@@unboxed]
+
+let slice_claims tbl =
   {
-    memo = Par.Slice_tbl.create ~size:65_536 ();
-    keybuf = Key.create ();
-    store = None;
+    probe =
+      (fun b ~owner:_ ->
+        let e =
+          Par.Slice_tbl.probe_slice tbl (Key.data b) ~len:(Key.length b)
+            ~default:(Busy 0)
+        in
+        if Par.Slice_tbl.last_was_new tbl then Claimed (Slot e)
+        else e.Par.Slice_tbl.value);
+    resolve = (fun (Slot e) v -> e.Par.Slice_tbl.value <- Value v);
+    get =
+      (fun key ->
+        match Par.Slice_tbl.find_string tbl key with
+        | Some { Par.Slice_tbl.value = Value v; _ } -> Some v
+        | _ -> None);
+  }
+
+(* the two backends keyed by strings: Sharded_tbl and Store.Memo *)
+let keyed_claims find_or_claim_slice resolve get =
+  {
+    probe =
+      (fun b ~owner ->
+        match find_or_claim_slice (Key.data b) ~len:(Key.length b) ~owner with
+        | `Value v -> Value v
+        | `Busy o -> Busy o
+        | `Claimed key -> Claimed key);
+    resolve;
+    get;
+  }
+
+let sharded_claims tbl =
+  Par.Sharded_tbl.(
+    keyed_claims (find_or_claim_slice tbl) (resolve tbl) (get tbl))
+
+let store_claims st =
+  Store.Memo.(keyed_claims (find_or_claim_slice st) (resolve st) (get st))
+
+(* ---- workers and instances ---------------------------------------------
+
+   A worker is one participant in a solve: an owner id for the claim
+   protocol, a private encode buffer, and its own counters, so parallel
+   workers never share a cache line and merge their counts afterwards.
+   A sequential solve is worker 0; an instance's persistent worker 0
+   ([seq]) carries the instance's stats and its progress ticker. *)
+
+type ticker = {
+  mutable hook : (progress -> unit) option;
+  mutable interval : int;
+  mutable start : float;  (* when the current root solve began *)
+  mutable base_misses : int;  (* misses when it began *)
+}
+
+type worker = {
+  wid : int;
+  buf : Key.buf;
+  shared : bool;  (* probes a memo other workers share: hits are [Claim_hit] *)
+  abort : bool Atomic.t;  (* another worker of the solve failed *)
+  ticker : ticker option;
+  mutable domain : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable states : int;  (* states this worker resolved *)
+  mutable max_depth : int;
+  mutable pruned : int;  (* subtrees cut by interval pruning *)
+  mutable claim_misses : int;
+  mutable steals : int;
+}
+
+let make_worker ?ticker ?(shared = false) ?(abort = Atomic.make false) wid =
+  {
+    wid;
+    buf = Key.create ();
+    shared;
+    abort;
+    ticker;
+    domain = (Domain.self () :> int);
     hits = 0;
     misses = 0;
     states = 0;
     max_depth = 0;
-    prune_cuts = 0;
-    progress_hook = None;
-    progress_interval = default_progress_interval;
-    solve_start = Obs.Span.now_us ();
-    solve_base_misses = 0;
+    pruned = 0;
+    claim_misses = 0;
+    steals = 0;
   }
+
+(* Unwinds a worker once another worker of the solve failed: [value_par]
+   re-raises the real exception, and the claims left unresolved die with
+   the solve. Without it, a worker awaiting a claim whose owner died (say,
+   of [Cyclic]) would wait forever. *)
+exception Abort
+
+let stats_of_worker w =
+  {
+    states = w.states;
+    memo_hits = w.hits;
+    memo_misses = w.misses;
+    max_depth = w.max_depth;
+  }
+
+type instance = {
+  memo : slot probe Par.Slice_tbl.t;
+  ram : slot claims;
+  mutable store : Store.Memo.t option;  (* armed by a memo budget *)
+  seq : worker;
+}
+
+let make_instance () =
+  let memo = Par.Slice_tbl.create ~size:65_536 () in
+  {
+    memo;
+    ram = slice_claims memo;
+    store = None;
+    seq =
+      make_worker 0
+        ~ticker:
+          {
+            hook = None;
+            interval = default_progress_interval;
+            start = Obs.Span.now_us ();
+            base_misses = 0;
+          };
+  }
+
+let ticker_of i = Option.get i.seq.ticker
+let stats_of i = stats_of_worker i.seq
+
+(* The record a sequential solve (or [value_par]'s small-frontier
+   fallback) probes: the instance's table, or its store once armed. *)
+let memo_of i =
+  match i.store with
+  | None -> Memo i.ram
+  | Some st -> Memo (store_claims st)
 
 (* Arm the spillable backend on an instance. Entries already memoized in
    RAM migrate into the store (a reused instance keeps its cross-solve
-   memoization through the backend switch); [In_progress] marks cannot
+   memoization through the backend switch); in-progress claims cannot
    exist outside a running solve, so only final values move. Once armed
    the instance stays on the store until [reset] — mixing backends
    within one memo would split the key space. *)
@@ -214,56 +336,54 @@ let arm_store i budget =
   match (i.store, budget) with
   | None, Some b ->
       let st = Store.Memo.create ~budget:b () in
-      Par.Slice_tbl.iter i.memo (fun key mark ->
-          match mark with
+      Par.Slice_tbl.iter i.memo (fun key slot ->
+          match slot with
           | Value v -> Store.Memo.resolve st key v
-          | In_progress -> ());
+          | Busy _ | Claimed _ -> ());
       Par.Slice_tbl.clear i.memo;
       i.store <- Some st
   | _ -> ()
 
-let stats_of i =
-  { states = i.states; memo_hits = i.hits; memo_misses = i.misses;
-    max_depth = i.max_depth }
-
-let progress_of i =
-  let elapsed_s = (Obs.Span.now_us () -. i.solve_start) /. 1e6 in
-  {
-    stats = stats_of i;
-    elapsed_s;
-    states_per_sec =
-      (if elapsed_s > 0.0 then
-         float_of_int (i.misses - i.solve_base_misses) /. elapsed_s
-       else 0.0);
-  }
-
 (* Progress telemetry: long solves (minutes at k >= 3) otherwise give no
    output until they return. The hook fires from inside the recursion,
    every [interval] newly memoized states — so never after [value] has
-   returned — alongside an info log on the blunting.mdp source. Worker
-   recursions carry no hook, so parallel solves never fire it off the
-   calling domain. *)
-let progress_tick i =
-  if i.misses mod i.progress_interval = 0 then begin
-    let p = progress_of i in
-    Log.info (fun f -> f "progress: %a" pp_progress p);
-    match i.progress_hook with None -> () | Some hook -> hook p
-  end
+   returned — alongside an info log on the blunting.mdp source. Only the
+   instance's worker 0 carries a ticker, so parallel workers never fire
+   it off the calling domain. *)
+let progress_tick w =
+  match w.ticker with
+  | Some t when w.misses mod t.interval = 0 ->
+      let elapsed_s = (Obs.Span.now_us () -. t.start) /. 1e6 in
+      let p =
+        {
+          stats = stats_of_worker w;
+          elapsed_s;
+          states_per_sec =
+            (if elapsed_s > 0.0 then
+               float_of_int (w.misses - t.base_misses) /. elapsed_s
+             else 0.0);
+        }
+      in
+      Log.info (fun f -> f "progress: %a" pp_progress p);
+      Option.iter (fun hook -> hook p) t.hook
+  | _ -> ()
 
 let reset_instance i =
   Par.Slice_tbl.clear i.memo;
-  (match i.store with Some st -> Store.Memo.close st | None -> ());
+  Option.iter Store.Memo.close i.store;
   i.store <- None;
-  i.hits <- 0;
-  i.misses <- 0;
-  i.states <- 0;
-  i.max_depth <- 0;
-  i.prune_cuts <- 0;
+  let w = i.seq in
+  w.hits <- 0;
+  w.misses <- 0;
+  w.states <- 0;
+  w.max_depth <- 0;
+  w.pruned <- 0;
   (* re-arm the per-solve telemetry too: a reused instance must not
      compute its second solve's states/sec against the first solve's
      start time or cumulative miss count *)
-  i.solve_start <- Obs.Span.now_us ();
-  i.solve_base_misses <- 0
+  let t = ticker_of i in
+  t.start <- Obs.Span.now_us ();
+  t.base_misses <- 0
 
 let publish_delta (before : stats) (after : stats) =
   Obs.Metrics.add M.memo_hits (after.memo_hits - before.memo_hits);
@@ -271,31 +391,119 @@ let publish_delta (before : stats) (after : stats) =
   Obs.Metrics.add M.states (after.states - before.states);
   Obs.Metrics.max_gauge M.depth (float_of_int after.max_depth)
 
-module Make (G : GAME) = struct
-  (* The module-level instance behind the historical [value]/[stats] API. *)
+(* ---- the pure-to-in-place adapter --------------------------------------
+
+   Presents a {!GAME} as a {!GAME_INPLACE}, so the pure games run on the
+   in-place evaluator. The working state points at the frame of the
+   state being explored; a frame holds the pure state, its move list and
+   the transition of the move being explored. [moves] calls [G.moves]
+   once per evaluated state, [branches] calls [G.apply] once per
+   explored move and caches the transition, and [prob] and [apply] read
+   that cache: [apply] pushes a frame for the cached successor, and
+   [checkpoint] / [restore] save and reinstate the current frame. A
+   fresh frame per push stays young, which measured faster than
+   rewriting a reused, promoted frame stack. *)
+
+module Of_pure (G : GAME) = struct
+  type frame = {
+    st : G.state;
+    mutable moves : G.move list;  (* [G.moves st]; move [m] is the [m]-th *)
+    mutable tr : G.transition;  (* of the move [branches] saw last *)
+  }
+
+  type state = { mutable cur : frame }
+  type undo = frame
+
+  let frame st = { st; moves = []; tr = G.Chance [] }
+  let of_state st = { cur = frame st }
+
+  let moves t =
+    let ms = G.moves t.cur.st in
+    t.cur.moves <- ms;
+    let n = List.length ms in
+    if n >= Sys.int_size - 1 then
+      invalid_arg
+        (Printf.sprintf
+           "Mdp.Solver.Of_pure: a state with %d moves; move masks hold at \
+            most %d"
+           n (Sys.int_size - 2));
+    (1 lsl n) - 1
+
+  let move t m = List.nth t.cur.moves m
+
+  let branches t m =
+    let tr = G.apply t.cur.st (move t m) in
+    t.cur.tr <- tr;
+    match tr with G.Det _ -> 0 | G.Chance dist -> List.length dist
+
+  let prob t _ j =
+    match t.cur.tr with
+    | G.Chance dist -> fst (List.nth dist j)
+    | G.Det _ -> 1.0
+
+  let checkpoint t = t.cur
+
+  let apply t ~move:_ ~branch =
+    match t.cur.tr with
+    | G.Det s' -> t.cur <- frame s'
+    | G.Chance dist -> t.cur <- frame (snd (List.nth dist branch))
+
+  let restore t u = t.cur <- u
+  let terminal_value t = G.terminal_value t.cur.st
+  let encode_into t b = G.encode_into t.cur.st b
+end
+
+module type SOLVER = sig
+  type state
+
+  val value : ?memo_budget:int -> ?prune:bool -> state -> float
+  val explored : unit -> int
+  val stats : unit -> stats
+  val store_stats : unit -> Store.Memo.stats option
+  val set_bounds : lo:float -> hi:float -> unit
+  val bounds : unit -> float * float
+  val set_prune_audit : bool -> unit
+  val pruned_subtrees : unit -> int
+  val set_progress : ?interval_states:int -> (progress -> unit) option -> unit
+  val reset : unit -> unit
+end
+
+(* ---- the evaluator -----------------------------------------------------
+
+   The one memoized expectimax. It runs on a GAME_INPLACE: exploring a
+   child is checkpoint / apply / recurse / restore on the single working
+   state, so a native in-place game ([Model.Weakener_va_packed])
+   allocates no successor states, and a pure game runs through
+   {!Of_pure}. Every probe goes through a claim record, so one recursion
+   serves sequential solves (worker 0 over the instance's table or
+   store), budgeted ones, and every parallel worker ([Make.value_par]).
+
+   Values are bit-identical across all of them because each state is
+   evaluated exactly once, by the same fold — Float.max from
+   neg_infinity over moves in ascending id order, left-to-right
+   [partial +. (p *. v)] from 0.0 over chance branches — from child
+   values that are themselves unique; induction over the acyclic state
+   graph closes the argument. A native in-place game is bit-identical to
+   its pure presentation under the agreement obligations of
+   {!GAME_INPLACE}. *)
+
+module Make_inplace (G : GAME_INPLACE) = struct
   let default = make_instance ()
 
   let set_progress ?(interval_states = default_progress_interval) hook =
-    default.progress_interval <- max 1 interval_states;
-    default.progress_hook <- hook
+    let t = ticker_of default in
+    t.interval <- max 1 interval_states;
+    t.hook <- hook
 
   let stats () = stats_of default
 
   (* ---- admissible value bounds ---------------------------------------
 
-     Interval branch-and-bound needs an a-priori interval [lo, hi]
-     containing every reachable state's value. Game values here are
-     probabilities, so (0, 1) is always admissible; Theorem 4.2 supplies
-     sharper instance bounds for the weakener games (Prob[O_a] below,
-     the blunting bound above). Soundness additionally needs [hi] to
-     bound the COMPUTED (floating-point) values, not just the exact
-     ones: that holds whenever the fold that produces a value cannot
-     round above [hi] — in particular for [hi = 1] with power-of-two
-     chance probabilities (exact scaling, and round-to-nearest is
-     monotone with 1.0 representable), which covers every model game.
-     [prune_audit] re-evaluates every would-be cut and raises
-     [Prune_unsound] if the cut would have changed the parent's max —
-     the fuzz oracle's mode. *)
+     Both interval cuts need [hi] above every COMPUTED (floating-point)
+     value. That holds when terminal payoffs are <= [hi] and each chance
+     node's left-to-right fold of [p *. hi] stays <= [hi] (see the
+     interval-pruning section of solver.mli); [check_chance] tests the
+     latter at each chance node a pruned solve applies. *)
   let bound_lo = ref 0.0
   let bound_hi = ref 1.0
   let prune_audit = ref false
@@ -308,533 +516,192 @@ module Make (G : GAME) = struct
   let bounds () = (!bound_lo, !bound_hi)
   let set_prune_audit b = prune_audit := b
 
-  (* The expectimax fold over one state's moves, shared verbatim between
-     the sequential recursion and the work-stealing shared-memo recursion
-     so both compute bit-identical values: Float.max over moves starting
-     at -inf, left-to-right [acc +. (p *. v)] over chance branches
-     starting at 0.
+  (* index of the lowest set bit: moves fold in ascending id order *)
+  let rec lowest m i = if m land 1 = 1 then i else lowest (m lsr 1) (i + 1)
 
-     With [prune] two admissible cuts apply, neither of which can change
-     the value actually returned (so pruned and unpruned solves agree
-     bitwise, and only full, exact values are ever memoized):
-     - max cut: once [acc >= hi], every remaining child value is <= hi
-       <= acc, so the rest of the max-fold is the identity;
-     - chance cut: before each chance child, bound the rest of the fold
-       by substituting [hi] for every unevaluated child — each +./*. is
-       monotone under round-to-nearest, so the substituted fold is >=
-       the computed one. If even that bound is <= the parent's [acc],
-       the chance value cannot win the max; the partial sum (<= the
-       bound) is returned and [Float.max acc partial = acc] as with the
-       full value. Chance values are transition values, never memoized,
-       so returning the partial sum is invisible outside the cut. *)
-  let fold_value ~prune ~on_prune ~child depth s ms =
-    let hi = !bound_hi in
-    let audit = !prune_audit in
-    let chance acc dist =
-      let rec full partial = function
-        | [] -> partial
-        | (p, s') :: rest -> full (partial +. (p *. child (depth + 1) s')) rest
-      in
-      let upper partial rest =
-        List.fold_left (fun u (p, _) -> u +. (p *. hi)) partial rest
-      in
-      let rec go partial = function
-        | [] -> partial
-        | (p, s') :: rest as pending ->
-            if prune && upper partial pending <= acc then begin
-              on_prune ();
-              if audit then begin
-                let v = full partial pending in
-                if Float.max acc v <> acc then
-                  raise
-                    (Prune_unsound
-                       (Fmt.str
-                          "chance cut at depth %d: bound %.17g <= acc %.17g \
-                           but full value %.17g beats it"
-                          depth (upper partial pending) acc v));
-                v
-              end
-              else partial
-            end
-            else go (partial +. (p *. child (depth + 1) s')) rest
-      in
-      go 0.0 dist
-    in
-    let rec full acc = function
-      | [] -> acc
-      | m :: rest ->
-          let v =
-            match G.apply s m with
-            | G.Det s' -> child (depth + 1) s'
-            | G.Chance dist -> chance acc dist
-          in
-          full (Float.max acc v) rest
-    in
-    let rec go acc = function
-      | [] -> acc
-      | m :: rest as pending ->
-          if prune && acc >= hi then begin
-            on_prune ();
-            if audit then begin
-              let v = full acc pending in
-              if v <> acc then
-                raise
-                  (Prune_unsound
-                     (Fmt.str
-                        "max cut at depth %d: acc %.17g >= hi %.17g but full \
-                         fold reaches %.17g"
-                        depth acc hi v));
-              v
-            end
-            else acc
-          end
-          else
-            let v =
-              match G.apply s m with
-              | G.Det s' -> child (depth + 1) s'
-              | G.Chance dist -> chance acc dist
-            in
-            go (Float.max acc v) rest
-    in
-    go neg_infinity ms
-
-  (* The hot path. The state is encoded into the instance's reusable
-     buffer and the memo probed on the slice: a hit touches no allocator.
-     A miss installs [In_progress] (copying the key once, inside the
-     table) and later overwrites the SAME entry with the value — entries
-     survive table growth (growth only re-buckets them), so no second
-     lookup. The buffer is dead the moment the probe returns; children
-     clobber it freely.
-
-     With a memo budget armed ([i.store]), the probe goes through
-     {!Store.Memo}'s find-or-claim protocol instead (owner 0; [`Busy 0]
-     is the sequential re-entry, i.e. a cycle). The claim/resolve
-     discipline mirrors the [In_progress]/[Value] overwrite exactly, so
-     hit/miss/state counts — and, the memo holding only fully-evaluated
-     exact values, every computed value — are bit-identical to the
-     in-RAM solve. The unbudgeted path is untouched: one [None] check
-     per probe. *)
-  let rec value_at ~prune i depth s =
-    match i.store with
-    | None -> ram_value ~prune i depth s
-    | Some st -> store_value ~prune i st depth s
-
-  and ram_value ~prune i depth s =
-    if depth > i.max_depth then i.max_depth <- depth;
-    let b = i.keybuf in
-    Key.reset b;
-    G.encode_into s b;
-    let e =
-      Par.Slice_tbl.probe_slice i.memo (Key.data b) ~len:(Key.length b)
-        ~default:In_progress
-    in
-    if Par.Slice_tbl.last_was_new i.memo then begin
-      i.misses <- i.misses + 1;
-      (* the enabled () guard keeps the key hash off the disabled path *)
-      if Obs.Ring.enabled () then
-        Obs.Ring.record Obs.Ring.Solver_expand e.Par.Slice_tbl.hash depth;
-      progress_tick i;
-      let v =
-        match G.moves s with
-        | [] ->
-            if Obs.Ring.enabled () then
-              Obs.Ring.record Obs.Ring.Solver_terminal e.Par.Slice_tbl.hash
-                depth;
-            G.terminal_value s
-        | ms ->
-            fold_value ~prune
-              ~on_prune:(fun () ->
-                i.prune_cuts <- i.prune_cuts + 1;
-                if Obs.Ring.enabled () then
-                  Obs.Ring.record Obs.Ring.Solver_prune e.Par.Slice_tbl.hash
-                    depth)
-              ~child:(fun d s' -> value_at ~prune i d s')
-              depth s ms
-      in
-      e.Par.Slice_tbl.value <- Value v;
-      i.states <- i.states + 1;
-      v
+  let rec each_move mask f =
+    if mask <> 0 then begin
+      f (lowest mask 0);
+      each_move (mask land (mask - 1)) f
     end
-    else
-      match e.Par.Slice_tbl.value with
-      | Value v ->
-          i.hits <- i.hits + 1;
-          if Obs.Ring.enabled () then
-            Obs.Ring.record Obs.Ring.Solver_hit e.Par.Slice_tbl.hash depth;
-          v
-      | In_progress -> raise Cyclic
 
-  and store_value ~prune i st depth s =
-    if depth > i.max_depth then i.max_depth <- depth;
-    let b = i.keybuf in
+  (* [hi] in place of every child value of chance move [m] from branch
+     [j] on, folded onto [partial] *)
+  let upper s m n partial j =
+    let hi = !bound_hi in
+    let u = ref partial in
+    for l = j to n - 1 do
+      u := !u +. (G.prob s m l *. hi)
+    done;
+    !u
+
+  let check_chance s m n depth =
+    let hi = !bound_hi in
+    let u = upper s m n 0.0 0 in
+    if u > hi then
+      invalid_arg
+        (Fmt.str
+           "Mdp.Solver: ~prune is unsound on the chance distribution [%a] at \
+            depth %d: its fold of p *. hi reaches %.17g > hi = %.17g"
+           Fmt.(list ~sep:semi (fmt "%.17g"))
+           (List.init n (G.prob s m))
+           depth u hi)
+
+  let on_prune w fp depth =
+    w.pruned <- w.pruned + 1;
+    if Obs.Ring.enabled () then Obs.Ring.record Obs.Ring.Solver_prune fp depth
+
+  let fingerprint b = Par.Slice_tbl.hash_slice (Key.data b) (Key.length b)
+
+  (* The probe. A resolved state is a hit; a live claim of our own is a
+     cycle; another worker's live claim is helped; a fresh claim is
+     evaluated and resolved. The buffer is dead once the probe returns —
+     children clobber it freely — so the fresh claim's fingerprint is
+     taken first. *)
+  let rec eval ~prune w cl depth s =
+    if depth > w.max_depth then w.max_depth <- depth;
+    let b = w.buf in
     Key.reset b;
     G.encode_into s b;
-    match
-      Store.Memo.find_or_claim_slice st (Key.data b) ~len:(Key.length b)
-        ~owner:0
-    with
-    | `Value v ->
-        i.hits <- i.hits + 1;
+    match cl.probe b ~owner:w.wid with
+    | Value v ->
+        w.hits <- w.hits + 1;
         if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_hit
-            (Par.Slice_tbl.hash_slice (Key.data b) (Key.length b))
-            depth;
+          Obs.Ring.record
+            (if w.shared then Obs.Ring.Claim_hit else Obs.Ring.Solver_hit)
+            (fingerprint b) depth;
         v
-    | `Busy _ -> raise Cyclic
-    | `Claimed key ->
-        i.misses <- i.misses + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_expand
-            (Par.Slice_tbl.hash_string key)
-            depth;
-        progress_tick i;
-        let v =
-          match G.moves s with
-          | [] ->
-              if Obs.Ring.enabled () then
-                Obs.Ring.record Obs.Ring.Solver_terminal
-                  (Par.Slice_tbl.hash_string key)
-                  depth;
-              G.terminal_value s
-          | ms ->
-              fold_value ~prune
-                ~on_prune:(fun () ->
-                  i.prune_cuts <- i.prune_cuts + 1;
-                  if Obs.Ring.enabled () then
-                    Obs.Ring.record Obs.Ring.Solver_prune
-                      (Par.Slice_tbl.hash_string key)
-                      depth)
-                ~child:(fun d s' -> value_at ~prune i d s')
-                depth s ms
-        in
-        Store.Memo.resolve st key v;
-        i.states <- i.states + 1;
-        v
-
-  let transition_value i depth = function
-    | G.Det s -> value_at ~prune:false i (depth + 1) s
-    | G.Chance dist ->
-        List.fold_left
-          (fun acc (p, s) -> acc +. (p *. value_at ~prune:false i (depth + 1) s))
-          0.0 dist
-
-  (* The cross-domain telemetry of the most recent [value_par] on this
-     instance. Computed eagerly at the end of the parallel region (the
-     per-worker counters and the shared table's resolved count make it
-     O(workers), unlike the old per-domain-table key walk) and cleared at
-     the start of EVERY root solve — a reused solver must never report a
-     previous run's telemetry after a sequential solve overwrote the
-     work it describes. *)
-  let last_par : par_stats option ref = ref None
-
-  let last_par_stats () = !last_par
-
-  (* Root-call bracketing: arm the per-solve telemetry baselines, then land
-     the instance deltas in the process-wide registry once, at the end. *)
-  let start_solve i =
-    last_par := None;
-    i.solve_start <- Obs.Span.now_us ();
-    i.solve_base_misses <- i.misses
-
-  let root_call i span_name f =
-    start_solve i;
-    let before = stats_of i in
-    let pruned_before = i.prune_cuts in
-    (* tag allocations in the solve as expansion work for Obs.Memprof;
-       the parallel workers refine the tag (steal/claim-wait) themselves *)
-    let prev_phase = Obs.Memprof.phase () in
-    Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
-    let finish () =
-      Obs.Memprof.set_phase prev_phase;
-      publish_delta before (stats_of i);
-      Obs.Metrics.add M.pruned (i.prune_cuts - pruned_before)
-    in
-    match Obs.Span.time ~observe:M.solve_seconds span_name f with
-    | v, _ ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
-
-  let value ?memo_budget ?(prune = false) s =
-    arm_store default (effective_budget memo_budget);
-    root_call default "mdp.value" (fun () -> value_at ~prune default 0 s)
-
-  (* Live out-of-core telemetry: cumulative since the store was armed
-     (parallel and sequential budgeted solves share the instance store),
-     [None] while no budget has armed it. *)
-  let store_stats () = Option.map Store.Memo.stats default.store
-
-  let best_move s =
-    match G.moves s with
-    | [] -> None
-    | ms ->
-        root_call default "mdp.best_move" @@ fun () ->
-        let scored =
-          List.map (fun m -> (transition_value default 0 (G.apply s m), m)) ms
-        in
-        Log.debug (fun f ->
-            f "best_move: %d candidates: %a" (List.length scored)
-              (Fmt.list ~sep:Fmt.comma (fun ppf (v, m) ->
-                   Fmt.pf ppf "%a=%.6f" G.pp_move m v))
-              scored);
-        let best =
-          List.fold_left
-            (fun (bv, bm) (v, m) -> if v > bv then (v, m) else (bv, bm))
-            (List.hd scored |> fun (v, m) -> (v, m))
-            (List.tl scored)
-        in
-        Log.debug (fun f ->
-            f "best_move: chose %a (value %.6f)" G.pp_move (snd best) (fst best));
-        Some (snd best)
-
-  let explored () = default.states
-  let pruned_subtrees () = default.prune_cuts
-
-  let reset () =
-    last_par := None;
-    reset_instance default
-
-  (* ---- parallel solving ------------------------------------------------
-
-     Work-stealing over a sharded shared memo. The game tree is expanded
-     a few plies (without evaluating) to a frontier of distinct subtree
-     roots; the frontier-leaf indices are dealt round-robin into one
-     Chase–Lev deque per worker, and [jobs] workers drain their own deque
-     LIFO, stealing the oldest leaf from a victim when empty. Every state
-     evaluation goes through one {!Par.Sharded_tbl} keyed on canonical
-     encode strings: [find_or_claim] guarantees exactly one worker
-     evaluates each state (so, unlike the old per-domain-table scheme,
-     no work is duplicated — [distinct_keys] equals the sequential state
-     count and [duplicated_keys] is 0 by construction), and the claim
-     protocol doubles as cycle detection (re-entering your own claim is
-     exactly the sequential [In_progress] re-entry).
-
-     A worker probing another worker's live claim does not idle: it
-     HELPS, evaluating the claimed state's children through the shared
-     table (the same work the owner needs, each child again claimed by
-     exactly one worker), then spins briefly for the owner's exact
-     value. Waits only ever follow game-DAG edges downward — a worker
-     holding a claim is executing inside that state's subtree, so every
-     wait chain descends strictly and bottoms out at a worker that is
-     not waiting; on a cyclic game some worker re-enters its own claim
-     and [Cyclic] propagates, as sequentially.
-
-     Values are bit-identical to the sequential solve at every job count
-     because each state is evaluated exactly once, by [fold_value]'s
-     sequential arithmetic, from child values that are themselves unique;
-     induction over the (acyclic) state graph closes the argument. *)
-
-  type pre =
-    | R_term of float
-    | R_state of G.state * int  (* frontier state at its tree depth *)
-    | R_max of pre list
-    | R_exp of (float * pre) list
-
-  type plan =
-    | P_term of float
-    | P_leaf of int  (* index into the frontier array *)
-    | P_max of plan list
-    | P_exp of (float * plan) list
-
-  let rec expand depth limit s =
-    match G.moves s with
-    | [] -> R_term (G.terminal_value s)
-    | ms ->
-        if depth >= limit then R_state (s, depth)
-        else
-          R_max
-            (List.map
-               (fun m ->
-                 match G.apply s m with
-                 | G.Det s' -> expand (depth + 1) limit s'
-                 | G.Chance dist ->
-                     R_exp
-                       (List.map
-                          (fun (p, s') -> (p, expand (depth + 1) limit s'))
-                          dist))
-               ms)
-
-  let rec count_states = function
-    | R_term _ -> 0
-    | R_state _ -> 1
-    | R_max ps -> List.fold_left (fun a p -> a + count_states p) 0 ps
-    | R_exp dist -> List.fold_left (fun a (_, p) -> a + count_states p) 0 dist
-
-  (* Deduplicate frontier states by canonical key (several paths reach the
-     same state) and compile the prefix into an index-based plan. *)
-  let compile pre =
-    let index : (string, int) Hashtbl.t = Hashtbl.create 256 in
-    let leaves = ref [] in
-    let n = ref 0 in
-    let rec go = function
-      | R_term v -> P_term v
-      | R_state (s, depth) ->
-          let key = G.encode s in
-          let i =
-            match Hashtbl.find_opt index key with
-            | Some i -> i
-            | None ->
-                let i = !n in
-                Hashtbl.add index key i;
-                leaves := (s, depth) :: !leaves;
-                incr n;
-                i
-          in
-          P_leaf i
-      | R_max ps -> P_max (List.map go ps)
-      | R_exp dist -> P_exp (List.map (fun (p, q) -> (p, go q)) dist)
-    in
-    let plan = go pre in
-    (plan, Array.of_list (List.rev !leaves))
-
-  let rec eval_plan values = function
-    | P_term v -> v
-    | P_leaf i -> values.(i)
-    | P_max ps ->
-        List.fold_left (fun acc p -> Float.max acc (eval_plan values p)) neg_infinity ps
-    | P_exp dist ->
-        List.fold_left
-          (fun acc (p, pl) -> acc +. (p *. eval_plan values pl))
-          0.0 dist
-
-  let frontier ~jobs s =
-    (* deepen until the frontier offers real parallel slack (or stops
-       growing — tiny games go sequential via the plan alone) *)
-    let target = jobs * 8 in
-    let rec go limit prev =
-      let pre = expand 0 limit s in
-      let c = count_states pre in
-      if c >= target || c <= prev || limit >= 16 then pre else go (limit + 2) c
-    in
-    go 2 (-1)
-
-  (* Per-worker counters. A worker is a logical id in [0, jobs); the pool
-     domain that runs its steal loop records its runtime domain id at
-     loop entry (1:1 per solve — a domain may run several workers'
-     loops, but only sequentially, after the previous loop finished). *)
-  type worker = {
-    wid : int;
-    w_buf : Key.buf;  (* per-worker encode buffer: probes allocate nothing *)
-    mutable w_domain : int;
-    mutable w_hits : int;
-    mutable w_misses : int;
-    mutable w_depth : int;
-    mutable w_claim_misses : int;
-    mutable w_steals : int;
-    mutable w_pruned : int;
-  }
-
-  (* Internal unwind used when another worker already failed: the real
-     exception is kept aside and re-raised by [value_par]; workers seeing
-     the abort flag just leave quietly (their claims stay unresolved,
-     which is fine — the whole solve is being thrown away). Without it, a
-     worker spin-waiting on a claim whose owner died (say, of [Cyclic])
-     would wait forever. *)
-  exception Abort
-
-  (* The shared-memo surface the workers run against, abstracted over
-     the two backends implementing the same exactly-once claim protocol:
-     the in-RAM {!Par.Sharded_tbl} and, when a memo budget is armed, the
-     spillable {!Store.Memo}. A record of closures instead of a functor
-     keeps the worker recursion single-copy; the indirect call is noise
-     next to the probe it wraps. *)
-  type shared_memo = {
-    sm_probe :
-      Key.buf ->
-      owner:int ->
-      [ `Value of float | `Busy of int | `Claimed of string ];
-    sm_resolve : string -> float -> unit;
-    sm_get : string -> float option;
-  }
-
-  (* Worker hot path: encode into the worker's private buffer, probe the
-     shared table on the slice. [`Value]/[`Busy] probes allocate nothing;
-     only a fresh claim materializes the key (inside the table, which
-     hands it back — the buffer will be reused by the children before
-     [resolve] needs the key). Ring fingerprints are recomputed from the
-     slice only when tracing is on. *)
-  let rec shared_value ~abort ~prune sm w depth s =
-    if depth > w.w_depth then w.w_depth <- depth;
-    let b = w.w_buf in
-    Key.reset b;
-    G.encode_into s b;
-    match sm.sm_probe b ~owner:w.wid with
-    | `Value v ->
-        w.w_hits <- w.w_hits + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Claim_hit
-            (Par.Slice_tbl.hash_slice (Key.data b) (Key.length b))
-            depth;
-        v
-    | `Busy o when o = w.wid -> raise Cyclic
-    | `Busy o ->
-        w.w_claim_misses <- w.w_claim_misses + 1;
+    | Busy o when o = w.wid -> raise Cyclic
+    | Busy o ->
+        w.claim_misses <- w.claim_misses + 1;
         if Obs.Ring.enabled () then Obs.Ring.record Obs.Ring.Claim_miss o depth;
         (* the await needs the key after the buffer has been clobbered *)
-        let key = Key.contents b in
-        help ~abort ~prune sm w depth s key
-    | `Claimed key ->
-        w.w_misses <- w.w_misses + 1;
+        help ~prune w cl depth s (Key.contents b)
+    | Claimed h ->
+        let fp = if Obs.Ring.enabled () then fingerprint b else 0 in
+        w.misses <- w.misses + 1;
         if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_expand
-            (Par.Slice_tbl.hash_string key)
-            depth;
+          Obs.Ring.record Obs.Ring.Solver_expand fp depth;
+        progress_tick w;
+        let mask = G.moves s in
         let v =
-          match G.moves s with
-          | [] ->
-              if Obs.Ring.enabled () then
-                Obs.Ring.record Obs.Ring.Solver_terminal
-                  (Par.Slice_tbl.hash_string key)
-                  depth;
-              G.terminal_value s
-          | ms ->
-              fold_value ~prune
-                ~on_prune:(fun () ->
-                  w.w_pruned <- w.w_pruned + 1;
-                  if Obs.Ring.enabled () then
-                    Obs.Ring.record Obs.Ring.Solver_prune
-                      (Par.Slice_tbl.hash_string key)
-                      depth)
-                ~child:(fun d s' -> shared_value ~abort ~prune sm w d s')
-                depth s ms
+          if mask = 0 then begin
+            if Obs.Ring.enabled () then
+              Obs.Ring.record Obs.Ring.Solver_terminal fp depth;
+            G.terminal_value s
+          end
+          else fold ~prune w cl depth s fp mask
         in
-        sm.sm_resolve key v;
+        cl.resolve h v;
+        w.states <- w.states + 1;
         v
 
+  (* do-move / recurse / restore: the only state "copy" is what the move
+     itself journals *)
+  and child ~prune w cl depth s m j =
+    let u = G.checkpoint s in
+    G.apply s ~move:m ~branch:j;
+    let v = eval ~prune w cl (depth + 1) s in
+    G.restore s u;
+    v
+
+  and move_value ~prune w cl depth s fp acc m =
+    match G.branches s m with
+    | 0 -> child ~prune w cl depth s m 0
+    | n ->
+        if prune then check_chance s m n depth;
+        chance ~prune w cl depth s fp acc m n
+
+  (* With [prune], before each chance child: bound the rest of the fold
+     by [upper]; if even that cannot beat the parent's [acc], the chance
+     value cannot win the max, and the partial sum (<= the bound) is
+     returned — [Float.max acc partial = acc] as with the full value.
+     Chance values are never memoized, so the partial sum is invisible
+     outside the cut. In audit mode the fold runs on and the cut is
+     checked against the full value. *)
+  and chance ~prune w cl depth s fp acc m n =
+    let rec go partial j cut =
+      if j >= n then begin
+        (match cut with
+        | Some bound when Float.max acc partial <> acc ->
+            raise
+              (Prune_unsound
+                 (Fmt.str
+                    "chance cut at depth %d: bound %.17g <= acc %.17g but \
+                     full value %.17g beats it"
+                    depth bound acc partial))
+        | _ -> ());
+        partial
+      end
+      else if prune && Option.is_none cut && upper s m n partial j <= acc
+      then begin
+        on_prune w fp depth;
+        if !prune_audit then go partial j (Some (upper s m n partial j))
+        else partial
+      end
+      else
+        let p = G.prob s m j in
+        go (partial +. (p *. child ~prune w cl depth s m j)) (j + 1) cut
+    in
+    go 0.0 0 None
+
+  (* With [prune], once [acc >= hi] every remaining move's value is <= hi
+     <= acc, so the rest of the max-fold is the identity. The skipped
+     moves' chance distributions are still checked: the cut relies on
+     them. *)
+  and fold ~prune w cl depth s fp mask =
+    let hi = !bound_hi in
+    let rec go acc mask cut =
+      if mask = 0 then begin
+        (match cut with
+        | Some at when acc <> at ->
+            raise
+              (Prune_unsound
+                 (Fmt.str
+                    "max cut at depth %d: acc %.17g >= hi %.17g but full \
+                     fold reaches %.17g"
+                    depth at hi acc))
+        | _ -> ());
+        acc
+      end
+      else if prune && Option.is_none cut && acc >= hi then begin
+        on_prune w fp depth;
+        if !prune_audit then go acc mask (Some acc)
+        else begin
+          each_move mask (fun m ->
+              let n = G.branches s m in
+              if n > 0 then check_chance s m n depth);
+          acc
+        end
+      end
+      else
+        let m = lowest mask 0 in
+        let v = move_value ~prune w cl depth s fp acc m in
+        go (Float.max acc v) (mask land (mask - 1)) cut
+    in
+    go neg_infinity mask None
+
   (* Another worker owns the claim on [s]. Evaluate [s]'s children
-     through the shared table — the claim protocol hands each to exactly
+     through the shared memo — the claim protocol hands each to exactly
      one worker, so this is the owner's own pending work, not a
-     duplicate — then wait for the owner's exact value. Note the helper
-     never computes a value for [s] itself: [s]'s value must come from
-     the owner's single [fold_value], or prune-cut folds could disagree
-     with it. *)
-  and help ~abort ~prune sm w depth s key =
+     duplicate — then wait for the owner's exact value. The helper never
+     computes a value for [s] itself: [s]'s value must come from the
+     owner's single fold, or prune-cut folds could disagree with it. *)
+  and help ~prune w cl depth s key =
     (* the whole helping protocol — evaluating the busy state's children
        plus the await spin — is claim-miss overhead; tag its allocations
        so the profiler can separate it from first-visit expansion *)
     let prev_phase = Obs.Memprof.phase () in
     Obs.Memprof.set_phase (Some Obs.Memprof.Claim_wait);
-    (match G.moves s with
-    | [] -> ()
-    | ms ->
-        List.iter
-          (fun m ->
-            match G.apply s m with
-            | G.Det s' ->
-                ignore (shared_value ~abort ~prune sm w (depth + 1) s')
-            | G.Chance dist ->
-                List.iter
-                  (fun (_, s') ->
-                    ignore (shared_value ~abort ~prune sm w (depth + 1) s'))
-                  dist)
-          ms);
+    each_move (G.moves s) (fun m ->
+        for j = 0 to max 0 (G.branches s m - 1) do
+          ignore (child ~prune w cl depth s m j)
+        done);
     let rec await probes =
-      match sm.sm_get key with
+      match cl.get key with
       | Some v -> v
       | None ->
-          if Atomic.get abort then raise Abort;
+          if Atomic.get w.abort then raise Abort;
           (* short spins first: with a core per domain the owner is
              folding over children that are all resolved now, so the
              wait is brief. If the value still hasn't appeared after
@@ -853,6 +720,170 @@ module Make (G : GAME) = struct
     Obs.Memprof.set_phase prev_phase;
     v
 
+  (* The cross-domain telemetry of the most recent [value_par] on this
+     instance, cleared at the start of EVERY root solve — a reused solver
+     must never report a previous run's telemetry after a sequential
+     solve overwrote the work it describes. *)
+  let last_par : par_stats option ref = ref None
+
+  (* Root-call bracketing: arm the per-solve telemetry baselines, then land
+     the instance deltas in the process-wide registry once, at the end. *)
+  let root_call span_name f =
+    last_par := None;
+    let t = ticker_of default in
+    t.start <- Obs.Span.now_us ();
+    t.base_misses <- default.seq.misses;
+    let before = stats_of default in
+    let pruned_before = default.seq.pruned in
+    (* tag allocations in the solve as expansion work for Obs.Memprof;
+       the parallel workers refine the tag (steal/claim-wait) themselves *)
+    let prev_phase = Obs.Memprof.phase () in
+    Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Memprof.set_phase prev_phase;
+        publish_delta before (stats_of default);
+        Obs.Metrics.add M.pruned (default.seq.pruned - pruned_before))
+      (fun () -> fst (Obs.Span.time ~observe:M.solve_seconds span_name f))
+
+  let value ?memo_budget ?(prune = false) s =
+    arm_store default (effective_budget memo_budget);
+    let (Memo cl) = memo_of default in
+    root_call "mdp.value" (fun () -> eval ~prune default.seq cl 0 s)
+
+  (* Live out-of-core telemetry: cumulative since the store was armed
+     (parallel and sequential budgeted solves share the instance store),
+     [None] while no budget has armed it. *)
+  let store_stats () = Option.map Store.Memo.stats default.store
+  let explored () = default.seq.states
+  let pruned_subtrees () = default.seq.pruned
+
+  let reset () =
+    last_par := None;
+    reset_instance default
+end
+
+module Make (G : GAME) = struct
+  module P = Of_pure (G)
+  include Make_inplace (P)
+
+  let value ?memo_budget ?prune s = value ?memo_budget ?prune (P.of_state s)
+  let last_par_stats () = !last_par
+
+  let best_move s =
+    let t = P.of_state s in
+    match P.moves t with
+    | 0 -> None
+    | mask ->
+        root_call "mdp.best_move" @@ fun () ->
+        let (Memo cl) = memo_of default in
+        let rec score mask =
+          if mask = 0 then []
+          else
+            let m = lowest mask 0 in
+            let v =
+              move_value ~prune:false default.seq cl 0 t 0 neg_infinity m
+            in
+            (v, P.move t m) :: score (mask land (mask - 1))
+        in
+        let scored = score mask in
+        Log.debug (fun f ->
+            f "best_move: %d candidates: %a" (List.length scored)
+              (Fmt.list ~sep:Fmt.comma (fun ppf (v, m) ->
+                   Fmt.pf ppf "%a=%.6f" G.pp_move m v))
+              scored);
+        let best =
+          List.fold_left
+            (fun (bv, bm) (v, m) -> if v > bv then (v, m) else (bv, bm))
+            (List.hd scored) (List.tl scored)
+        in
+        Log.debug (fun f ->
+            f "best_move: chose %a (value %.6f)" G.pp_move (snd best) (fst best));
+        Some (snd best)
+
+  (* ---- parallel solving ------------------------------------------------
+
+     Work-stealing over a shared memo. The game tree is expanded a few
+     plies (without evaluating) to a frontier of distinct subtree roots;
+     the frontier-leaf indices are dealt round-robin into one Chase–Lev
+     deque per worker, and [jobs] workers drain their own deque LIFO,
+     stealing the oldest leaf from a victim when empty. Each worker runs
+     the evaluator over its own {!Of_pure} working state against one
+     shared claim record — a fresh {!Par.Sharded_tbl}, or the instance's
+     store when a memo budget is armed — so exactly one worker evaluates
+     each state, and the claim protocol doubles as cycle detection
+     (re-entering your own claim is the sequential re-entry).
+
+     Waits only ever follow game-DAG edges downward — a worker holding a
+     claim is executing inside that state's subtree, so every wait chain
+     descends strictly and bottoms out at a worker that is not waiting;
+     on a cyclic game some worker re-enters its own claim and [Cyclic]
+     propagates, as sequentially. *)
+
+  type plan =
+    | P_term of float
+    | P_leaf of int  (* index into the frontier array *)
+    | P_max of plan list
+    | P_exp of (float * plan) list
+
+  (* Expand [limit] plies from [s] (without evaluating) into a plan over
+     the frontier: the states at depth [limit], deduplicated by
+     canonical key (several paths reach the same state). Also counts the
+     frontier's occurrences in the plan. *)
+  let expand limit s =
+    let index : (string, int) Hashtbl.t = Hashtbl.create 256 in
+    let leaves = ref [] and occurrences = ref 0 in
+    let rec go depth s =
+      match G.moves s with
+      | [] -> P_term (G.terminal_value s)
+      | _ when depth >= limit ->
+          incr occurrences;
+          let key = G.encode s in
+          P_leaf
+            (match Hashtbl.find_opt index key with
+            | Some i -> i
+            | None ->
+                let i = Hashtbl.length index in
+                Hashtbl.add index key i;
+                leaves := (s, depth) :: !leaves;
+                i)
+      | ms ->
+          P_max
+            (List.map
+               (fun m ->
+                 match G.apply s m with
+                 | G.Det s' -> go (depth + 1) s'
+                 | G.Chance dist ->
+                     P_exp
+                       (List.map (fun (p, s') -> (p, go (depth + 1) s')) dist))
+               ms)
+    in
+    let plan = go 0 s in
+    (plan, Array.of_list (List.rev !leaves), !occurrences)
+
+  let rec eval_plan values = function
+    | P_term v -> v
+    | P_leaf i -> values.(i)
+    | P_max ps ->
+        List.fold_left
+          (fun acc p -> Float.max acc (eval_plan values p))
+          neg_infinity ps
+    | P_exp dist ->
+        List.fold_left
+          (fun acc (p, pl) -> acc +. (p *. eval_plan values pl))
+          0.0 dist
+
+  let frontier ~jobs s =
+    (* deepen until the frontier offers real parallel slack (or stops
+       growing — tiny games go sequential via the plan alone) *)
+    let target = jobs * 8 in
+    let rec go limit prev =
+      let plan, leaves, c = expand limit s in
+      if c >= target || c <= prev || limit >= 16 then (plan, leaves)
+      else go (limit + 2) c
+    in
+    go 2 (-1)
+
   let merge_by_domain workers =
     let tbl : (int, stats) Hashtbl.t = Hashtbl.create 8 in
     Array.iter
@@ -860,127 +891,104 @@ module Make (G : GAME) = struct
         let s =
           Option.value
             ~default:{ states = 0; memo_hits = 0; memo_misses = 0; max_depth = 0 }
-            (Hashtbl.find_opt tbl w.w_domain)
+            (Hashtbl.find_opt tbl w.domain)
         in
-        Hashtbl.replace tbl w.w_domain
+        Hashtbl.replace tbl w.domain
           {
-            states = s.states + w.w_misses;
-            memo_hits = s.memo_hits + w.w_hits;
-            memo_misses = s.memo_misses + w.w_misses;
-            max_depth = max s.max_depth w.w_depth;
+            states = s.states + w.misses;
+            memo_hits = s.memo_hits + w.hits;
+            memo_misses = s.memo_misses + w.misses;
+            max_depth = max s.max_depth w.max_depth;
           })
       workers;
     Hashtbl.fold (fun domain_id stats acc -> { domain_id; stats } :: acc) tbl []
     |> List.sort (fun a b -> compare a.domain_id b.domain_id)
 
+  (* Deterministic merge of the workers' counters into the instance, and
+     the solve's [par_stats]. Claims are exactly-once, so the states the
+     workers resolved are the distinct keys below the frontier, and
+     [stats ()] reports the same explored figure as a sequential solve
+     of the frontier's subtrees. *)
+  let publish_par workers =
+    let sum f = Array.fold_left (fun a w -> a + f w) 0 workers in
+    let distinct = sum (fun w -> w.states) in
+    let seq = default.seq in
+    Array.iter
+      (fun w ->
+        seq.hits <- seq.hits + w.hits;
+        seq.misses <- seq.misses + w.misses;
+        seq.max_depth <- max seq.max_depth w.max_depth;
+        seq.pruned <- seq.pruned + w.pruned)
+      workers;
+    seq.states <- seq.states + distinct;
+    let steals = sum (fun w -> w.steals) in
+    let claim_misses = sum (fun w -> w.claim_misses) in
+    Obs.Metrics.add M.steals steals;
+    Obs.Metrics.add M.claim_misses claim_misses;
+    last_par :=
+      Some
+        {
+          domains = merge_by_domain workers;
+          distinct_keys = distinct;
+          duplicated_keys = 0;
+          duplicated_work_pct = 0.0;
+          steals;
+          claim_hits = sum (fun w -> w.hits);
+          claim_misses;
+          pruned_subtrees = sum (fun w -> w.pruned);
+        }
+
   let value_par ?pool ?memo_budget ?(prune = false) ~jobs s =
     if jobs <= 1 then value ?memo_budget ~prune s
     else
-      root_call default "mdp.value_par" @@ fun () ->
+      root_call "mdp.value_par" @@ fun () ->
       arm_store default (effective_budget memo_budget);
-      let plan, leaves = compile (frontier ~jobs s) in
+      let plan, leaves = frontier ~jobs s in
       let nleaves = Array.length leaves in
       Log.info (fun f -> f "value_par: %d frontier states on %d jobs" nleaves jobs);
       if nleaves = 0 then eval_plan [||] plan
       else if nleaves < jobs then begin
         (* Frontier smaller than the worker count: the game is too small
            to occupy the pool, and spawning domains + claim traffic costs
-           more than the whole solve (the sub-1x PAR rows on tiny games).
-           Solve sequentially on the calling instance — bit-identical by
-           the same argument as the worker path — and synthesize the
-           telemetry honestly from the instance delta: one domain, one
-           miss per distinct state, nothing stolen or claimed. *)
+           more than the whole solve. One worker 0 solves the root on the
+           calling domain, over the instance's own memo. *)
         Log.info (fun f ->
             f "value_par: frontier %d < jobs %d, sequential fallback" nleaves
               jobs);
-        let before = stats_of default in
-        let pruned_before = default.prune_cuts in
-        let v = value_at ~prune default 0 s in
-        let after = stats_of default in
-        let delta =
-          {
-            states = after.states - before.states;
-            memo_hits = after.memo_hits - before.memo_hits;
-            memo_misses = after.memo_misses - before.memo_misses;
-            max_depth = after.max_depth;
-          }
-        in
-        last_par :=
-          Some
-            {
-              domains =
-                [ { domain_id = (Domain.self () :> int); stats = delta } ];
-              distinct_keys = delta.memo_misses;
-              duplicated_keys = 0;
-              duplicated_work_pct = 0.0;
-              steals = 0;
-              claim_hits = 0;
-              claim_misses = 0;
-              pruned_subtrees = default.prune_cuts - pruned_before;
-            };
+        let w = make_worker 0 in
+        let (Memo cl) = memo_of default in
+        let v = eval ~prune w cl 0 (P.of_state s) in
+        publish_par [| w |];
         v
       end
-      else begin
-        (* Workers share one exactly-once memo. Unbudgeted solves get a
-           fresh in-RAM [Par.Sharded_tbl], exactly as before; a budgeted
-           solve runs over the instance's persistent spillable store, and
-           the distinct-state count is the resolved-count delta across
-           the region (the store may carry entries from earlier solves). *)
-        let sm, distinct_after =
+      else
+        (* Workers share one exactly-once memo: a fresh in-RAM
+           [Par.Sharded_tbl], or the instance's spillable store once a
+           budget armed it. *)
+        let (Memo cl) =
           match default.store with
-          | Some st ->
-              let base = Store.Memo.resolved st in
-              ( {
-                  sm_probe =
-                    (fun b ~owner ->
-                      Store.Memo.find_or_claim_slice st (Key.data b)
-                        ~len:(Key.length b) ~owner);
-                  sm_resolve = Store.Memo.resolve st;
-                  sm_get = Store.Memo.get st;
-                },
-                fun () -> Store.Memo.resolved st - base )
-          | None ->
-              let tbl : float Par.Sharded_tbl.t = Par.Sharded_tbl.create () in
-              ( {
-                  sm_probe =
-                    (fun b ~owner ->
-                      Par.Sharded_tbl.find_or_claim_slice tbl (Key.data b)
-                        ~len:(Key.length b) ~owner);
-                  sm_resolve = Par.Sharded_tbl.resolve tbl;
-                  sm_get = (fun k -> Par.Sharded_tbl.get tbl k);
-                },
-                fun () -> Par.Sharded_tbl.resolved tbl )
+          | Some st -> Memo (store_claims st)
+          | None -> Memo (sharded_claims (Par.Sharded_tbl.create ()))
         in
         let deques = Array.init jobs (fun _ -> Par.Deque.create ()) in
         Array.iteri (fun i _ -> Par.Deque.push deques.(i mod jobs) i) leaves;
+        let abort = Atomic.make false in
         let workers =
-          Array.init jobs (fun wid ->
-              {
-                wid;
-                w_buf = Key.create ();
-                w_domain = -1;
-                w_hits = 0;
-                w_misses = 0;
-                w_depth = 0;
-                w_claim_misses = 0;
-                w_steals = 0;
-                w_pruned = 0;
-              })
+          Array.init jobs (fun wid -> make_worker wid ~shared:true ~abort)
         in
         (* leaf values are published to the caller by the pool region's
            join; each index is written exactly once (deque items are
            handed out exactly once), so NaN survives only on a bug *)
         let values = Array.make nleaves Float.nan in
-        let abort = Atomic.make false in
         let first_error : exn option Atomic.t = Atomic.make None in
         let eval_leaf w i =
           Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
           let s, depth = leaves.(i) in
-          values.(i) <- shared_value ~abort ~prune sm w depth s
+          values.(i) <- eval ~prune w cl depth (P.of_state s)
         in
         let worker_loop wid =
           let w = workers.(wid) in
-          w.w_domain <- (Domain.self () :> int);
+          w.domain <- (Domain.self () :> int);
           Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
           (* drain the local deque LIFO; when empty, sweep the other
              deques for the oldest leaf. Leaves are only pushed before
@@ -1008,7 +1016,7 @@ module Make (G : GAME) = struct
               let victim = (wid + 1 + k) mod jobs in
               match Par.Deque.steal deques.(victim) with
               | Par.Deque.Stolen i ->
-                  w.w_steals <- w.w_steals + 1;
+                  w.steals <- w.steals + 1;
                   if Obs.Ring.enabled () then
                     Obs.Ring.record Obs.Ring.Steal victim i;
                   eval_leaf w i;
@@ -1031,303 +1039,7 @@ module Make (G : GAME) = struct
         | None ->
             Par.Pool.with_pool ~jobs (fun pool ->
                 Par.Pool.scatter pool ~n:jobs worker_loop));
-        (match Atomic.get first_error with
-        | Some e -> raise e
-        | None -> ());
-        (* Deterministic merge of the per-worker counters into the calling
-           instance. With the shared memo every state is evaluated exactly
-           once, so the summed misses equal the distinct-state count and
-           [stats ()] reports the same explored figure as a sequential
-           solve of the same root. *)
-        let distinct = distinct_after () in
-        let total = ref 0 in
-        Array.iter
-          (fun w ->
-            total := !total + w.w_misses;
-            default.hits <- default.hits + w.w_hits;
-            default.misses <- default.misses + w.w_misses;
-            default.max_depth <- max default.max_depth w.w_depth;
-            default.prune_cuts <- default.prune_cuts + w.w_pruned)
-          workers;
-        default.states <- default.states + distinct;
-        let steals =
-          Array.fold_left (fun a w -> a + w.w_steals) 0 workers
-        in
-        let claim_hits = Array.fold_left (fun a w -> a + w.w_hits) 0 workers in
-        let claim_misses =
-          Array.fold_left (fun a w -> a + w.w_claim_misses) 0 workers
-        in
-        let pruned_subtrees =
-          Array.fold_left (fun a w -> a + w.w_pruned) 0 workers
-        in
-        Obs.Metrics.add M.steals steals;
-        Obs.Metrics.add M.claim_misses claim_misses;
-        last_par :=
-          Some
-            {
-              domains = merge_by_domain workers;
-              distinct_keys = distinct;
-              (* exactly-once evaluation: no key is ever claimed twice *)
-              duplicated_keys = 0;
-              duplicated_work_pct =
-                (if !total = 0 then 0.0
-                 else
-                   100.0
-                   *. float_of_int (!total - distinct)
-                   /. float_of_int !total);
-              steals;
-              claim_hits;
-              claim_misses;
-              pruned_subtrees;
-            };
+        Option.iter raise (Atomic.get first_error);
+        publish_par workers;
         eval_plan values plan
-      end
-end
-
-(* ---- in-place solving ---------------------------------------------------
-
-   The sequential recursion over a GAME_INPLACE: the entire DFS runs on
-   ONE working state. Exploring a child is do-move / recurse / restore —
-   the per-edge state copy of the pure solver (a fresh record tree per
-   [G.apply]) disappears, and with the slice-probing memo the whole
-   expansion loop allocates only the per-expansion move closure and the
-   memo entry of each distinct state.
-
-   Values are bit-identical to [Make] over the pure presentation of the
-   same game provided the two presentations agree move-for-move: same
-   move order (ascending ids here, so the pure [moves] list must be
-   ascending), same branch order and probabilities, and byte-identical
-   [encode_into]. The folds below mirror [fold_value] line for line —
-   Float.max from neg_infinity over moves, left-to-right
-   [partial +. (p *. v)] from 0.0 over chance branches, and the same two
-   interval cuts in the same positions — so induction over the shared
-   acyclic state DAG gives bitwise equality. *)
-module Make_inplace (G : GAME_INPLACE) = struct
-  let default = make_instance ()
-
-  let set_progress ?(interval_states = default_progress_interval) hook =
-    default.progress_interval <- max 1 interval_states;
-    default.progress_hook <- hook
-
-  let stats () = stats_of default
-
-  let bound_lo = ref 0.0
-  let bound_hi = ref 1.0
-  let prune_audit = ref false
-
-  let set_bounds ~lo ~hi =
-    if not (lo <= hi) then
-      invalid_arg "Mdp.Solver.set_bounds: need lo <= hi";
-    bound_lo := lo;
-    bound_hi := hi
-
-  let bounds () = (!bound_lo, !bound_hi)
-  let set_prune_audit b = prune_audit := b
-
-  (* index of the lowest set bit: moves fold in ascending id order *)
-  let rec lowest m i = if m land 1 = 1 then i else lowest (m lsr 1) (i + 1)
-
-  (* same backend dispatch as [Make.value_at]: the budgeted path swaps
-     the [In_progress]/[Value] overwrite for the store's claim/resolve,
-     which is the same exactly-once discipline, so counts and values are
-     bit-identical; the unbudgeted path pays one [None] check *)
-  let rec value_at ~prune i depth s =
-    match i.store with
-    | None -> ram_value ~prune i depth s
-    | Some st -> store_value ~prune i st depth s
-
-  and ram_value ~prune i depth s =
-    if depth > i.max_depth then i.max_depth <- depth;
-    let b = i.keybuf in
-    Key.reset b;
-    G.encode_into s b;
-    let e =
-      Par.Slice_tbl.probe_slice i.memo (Key.data b) ~len:(Key.length b)
-        ~default:In_progress
-    in
-    if Par.Slice_tbl.last_was_new i.memo then begin
-      i.misses <- i.misses + 1;
-      if Obs.Ring.enabled () then
-        Obs.Ring.record Obs.Ring.Solver_expand e.Par.Slice_tbl.hash depth;
-      progress_tick i;
-      let mask = G.moves s in
-      let v =
-        if mask = 0 then begin
-          if Obs.Ring.enabled () then
-            Obs.Ring.record Obs.Ring.Solver_terminal e.Par.Slice_tbl.hash
-              depth;
-          G.terminal_value s
-        end
-        else fold_moves ~prune i depth s mask e.Par.Slice_tbl.hash
-      in
-      e.Par.Slice_tbl.value <- Value v;
-      i.states <- i.states + 1;
-      v
-    end
-    else
-      match e.Par.Slice_tbl.value with
-      | Value v ->
-          i.hits <- i.hits + 1;
-          if Obs.Ring.enabled () then
-            Obs.Ring.record Obs.Ring.Solver_hit e.Par.Slice_tbl.hash depth;
-          v
-      | In_progress -> raise Cyclic
-
-  and store_value ~prune i st depth s =
-    if depth > i.max_depth then i.max_depth <- depth;
-    let b = i.keybuf in
-    Key.reset b;
-    G.encode_into s b;
-    match
-      Store.Memo.find_or_claim_slice st (Key.data b) ~len:(Key.length b)
-        ~owner:0
-    with
-    | `Value v ->
-        i.hits <- i.hits + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_hit
-            (Par.Slice_tbl.hash_slice (Key.data b) (Key.length b))
-            depth;
-        v
-    | `Busy _ -> raise Cyclic
-    | `Claimed key ->
-        i.misses <- i.misses + 1;
-        let h = Par.Slice_tbl.hash_string key in
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_expand h depth;
-        progress_tick i;
-        let mask = G.moves s in
-        let v =
-          if mask = 0 then begin
-            if Obs.Ring.enabled () then
-              Obs.Ring.record Obs.Ring.Solver_terminal h depth;
-            G.terminal_value s
-          end
-          else fold_moves ~prune i depth s mask h
-        in
-        Store.Memo.resolve st key v;
-        i.states <- i.states + 1;
-        v
-
-  (* do-move / recurse / restore: the only state "copy" is the journal
-     entries the move itself writes *)
-  and branch_value ~prune i depth s m j =
-    let u = G.checkpoint s in
-    G.apply s ~move:m ~branch:j;
-    let v = value_at ~prune i (depth + 1) s in
-    G.restore s u;
-    v
-
-  (* mirror of [fold_value]'s [chance]: same fold direction, same cut,
-     same audit re-evaluation *)
-  and chance_value ~prune i depth s m n acc h =
-    let hi = !bound_hi in
-    let audit = !prune_audit in
-    let rec full partial j =
-      if j >= n then partial
-      else
-        let p = G.prob s m j in
-        full (partial +. (p *. branch_value ~prune i depth s m j)) (j + 1)
-    in
-    let upper partial j =
-      let u = ref partial in
-      for l = j to n - 1 do
-        u := !u +. (G.prob s m l *. hi)
-      done;
-      !u
-    in
-    let rec go partial j =
-      if j >= n then partial
-      else if prune && upper partial j <= acc then begin
-        i.prune_cuts <- i.prune_cuts + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_prune h depth;
-        if audit then begin
-          let v = full partial j in
-          if Float.max acc v <> acc then
-            raise
-              (Prune_unsound
-                 (Fmt.str
-                    "chance cut at depth %d: bound %.17g <= acc %.17g but \
-                     full value %.17g beats it"
-                    depth (upper partial j) acc v));
-          v
-        end
-        else partial
-      end
-      else
-        let p = G.prob s m j in
-        go (partial +. (p *. branch_value ~prune i depth s m j)) (j + 1)
-    in
-    go 0.0 0
-
-  and fold_moves ~prune i depth s mask0 h =
-    let hi = !bound_hi in
-    let audit = !prune_audit in
-    let move_value acc m =
-      match G.branches s m with
-      | 0 -> branch_value ~prune i depth s m 0
-      | n -> chance_value ~prune i depth s m n acc h
-    in
-    let rec full acc mask =
-      if mask = 0 then acc
-      else
-        let m = lowest mask 0 in
-        let v = move_value acc m in
-        full (Float.max acc v) (mask land (mask - 1))
-    in
-    let rec go acc mask =
-      if mask = 0 then acc
-      else if prune && acc >= hi then begin
-        i.prune_cuts <- i.prune_cuts + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_prune h depth;
-        if audit then begin
-          let v = full acc mask in
-          if v <> acc then
-            raise
-              (Prune_unsound
-                 (Fmt.str
-                    "max cut at depth %d: acc %.17g >= hi %.17g but full \
-                     fold reaches %.17g"
-                    depth acc hi v));
-          v
-        end
-        else acc
-      end
-      else
-        let m = lowest mask 0 in
-        let v = move_value acc m in
-        go (Float.max acc v) (mask land (mask - 1))
-    in
-    go neg_infinity mask0
-
-  let value ?memo_budget ?(prune = false) s =
-    arm_store default (effective_budget memo_budget);
-    default.solve_start <- Obs.Span.now_us ();
-    default.solve_base_misses <- default.misses;
-    let before = stats_of default in
-    let pruned_before = default.prune_cuts in
-    let prev_phase = Obs.Memprof.phase () in
-    Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
-    let finish () =
-      Obs.Memprof.set_phase prev_phase;
-      publish_delta before (stats_of default);
-      Obs.Metrics.add M.pruned (default.prune_cuts - pruned_before)
-    in
-    match
-      Obs.Span.time ~observe:M.solve_seconds "mdp.value" (fun () ->
-          value_at ~prune default 0 s)
-    with
-    | v, _ ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
-
-  let store_stats () = Option.map Store.Memo.stats default.store
-  let explored () = default.states
-  let pruned_subtrees () = default.prune_cuts
-  let reset () = reset_instance default
 end

@@ -48,13 +48,14 @@ module type GAME = sig
   val pp_move : Format.formatter -> move -> unit
 end
 
-(** The zero-copy counterpart of {!GAME}, for {!Make_inplace}: the whole
-    DFS runs on one mutable working state, and exploring a child is
-    do-move / recurse / restore instead of allocating a successor per
-    edge. A game exposes its pure and in-place presentations side by
-    side (e.g. {!Model.Weakener_va} / [Model.Weakener_va_packed]); the
-    solvers produce bit-identical values when the presentations agree
-    move-for-move (see below). *)
+(** The zero-copy counterpart of {!GAME}, and the one the evaluator
+    runs on: the whole DFS runs on one mutable working state, and
+    exploring a child is do-move / recurse / restore instead of
+    allocating a successor per edge. Every {!GAME} gets this form from
+    {!Of_pure}; a game may also present it natively (e.g.
+    {!Model.Weakener_va} / [Model.Weakener_va_packed]), and the two
+    solve bit-identically when the presentations agree move-for-move
+    (see below). *)
 module type GAME_INPLACE = sig
   (** The single mutable working state. The solver never copies it. *)
   type state
@@ -64,10 +65,11 @@ module type GAME_INPLACE = sig
   type undo
 
   (** [moves s] is the bitmask of enabled move ids (bit [m] set = move
-      [m] enabled, so at most [Sys.int_size - 1] distinct ids); [0]
-      marks terminal states. The solver folds moves in ascending id
-      order — the pure presentation's [moves] list must be ascending
-      under the same numbering for bit-identical values. *)
+      [m] enabled, so at most [Sys.int_size - 2] distinct ids and the
+      mask stays positive); [0] marks terminal states. The solver folds
+      moves in ascending id order — the pure presentation's [moves] list
+      must be ascending under the same numbering for bit-identical
+      values. *)
   val moves : state -> int
 
   (** [branches s m] is [0] if move [m] is deterministic, else the
@@ -139,10 +141,10 @@ type domain_stats = { domain_id : int; stats : stats }
     shared memo — equal to the sequential solve's state count for the
     same root (unpruned). The claim protocol evaluates every key exactly
     once, so [duplicated_keys] is 0 and [duplicated_work_pct] is 0.0 by
-    construction; the fields remain so results documents can be compared
-    against pre-rewrite baselines, where they measured the work the old
-    private-memo scheme wasted. [steals] counts successful deque steals,
-    [claim_hits]/[claim_misses] the shared-memo probes answered by a
+    construction; they are constants, kept so results documents can be
+    compared against pre-rewrite baselines, where they measured the work
+    the old private-memo scheme wasted. [steals] counts successful deque
+    steals, [claim_hits]/[claim_misses] the shared-memo probes answered by a
     resolved value / by another worker's live claim (the helping
     protocol), and [pruned_subtrees] the interval cuts taken (0 unless
     [~prune:true]). All exact, unlike the ring-trace estimates of
@@ -204,76 +206,49 @@ val set_default_memo_budget : int option -> unit
 (** [memo_budget ()] is the current process-wide default. *)
 val memo_budget : unit -> int option
 
-module Make (G : GAME) : sig
+(** The pure-to-in-place adapter: [Of_pure (G)] presents [G] as a
+    {!GAME_INPLACE} whose working state points at a frame holding a pure
+    state, its move list and the transition of the move being explored.
+    [G.moves] is called once per evaluated state and [G.apply] once per
+    explored move (the [branches] call caches it for [prob] and
+    [apply]); [apply] pushes a frame for the successor and
+    [checkpoint]/[restore] save and reinstate the current frame. Move
+    [m] is the [m]-th element of [G.moves]. [moves] raises [Invalid_argument] on a
+    state with [Sys.int_size - 1] or more moves, which its bitmask
+    cannot hold. *)
+module Of_pure (G : GAME) : sig
+  include GAME_INPLACE
+
+  (** [of_state s] is a fresh working state positioned at [s]. *)
+  val of_state : G.state -> state
+end
+
+(** What both solver functors provide over a game whose states are
+    [state]. Each functor application is one solver instance with its
+    own memo and counters. *)
+module type SOLVER = sig
+  type state
+
   (** [value ?prune s] is the optimal (adversary-maximal) probability from
       [s]. With [~prune:true], chance-node children whose interval upper
       bound (every unevaluated child at the [hi] of [bounds ()]) cannot
       beat the parent max are cut, and max folds stop once the
       accumulator reaches [hi] — both cuts are value-exact (the returned
-      value is bit-identical to the unpruned solve; see [set_bounds] for
-      the admissibility requirement), but fewer states are explored, so
+      value is bit-identical to the unpruned solve) under the
+      precondition stated with [set_bounds], which a pruned solve checks
+      at each chance node it applies, raising [Invalid_argument] naming
+      the distribution where it fails. Fewer states are explored, so
       [explored ()] may be smaller. Only fully-evaluated state values
       enter the memo, so pruned and unpruned solves may share an
       instance.
 
       [?memo_budget] (or the process default) runs the memo
       out-of-core — see the "Out-of-core memo budget" section above;
-      values and counts stay bit-identical. *)
-  val value : ?memo_budget:int -> ?prune:bool -> G.state -> float
+      values and counts stay bit-identical.
 
-  (** [value_par ?pool ?prune ~jobs s] is [value s] computed by [jobs]
-      cooperating workers over one shared sharded memo
-      ({!Par.Sharded_tbl}): the game tree is expanded a few plies to a
-      frontier of distinct subtree roots dealt into per-worker
-      work-stealing deques ({!Par.Deque}); each worker drains its own
-      deque and steals from the others when empty. Every state evaluation
-      claims its key in the shared table first, so each state is
-      evaluated by exactly one worker — no duplicated work — and a worker
-      probing another's live claim helps by evaluating that state's
-      children before waiting for the owner's value. The result is
-      bit-identical to [value s] at every job count, and (unpruned) the
-      summed worker evaluations equal the sequential solve's state count.
-      [jobs <= 1] is exactly [value ?prune s]. With [pool] the caller's
-      pool is reused ([pool] must have at least [jobs] slots to run all
-      workers concurrently; fewer slots still terminate — a participant
-      finishing one worker loop picks up the next — but with reduced
-      parallelism), otherwise a fresh pool is created for the call.
-
-      Work counters merge into this instance's [stats]: states/misses
-      gain the distinct-state count, hits the shared-memo probe hits.
-      Cycle detection is preserved — a worker re-entering its own claim
-      raises [Cyclic], exactly the sequential [In_progress] re-entry.
-      Progress hooks do not fire from worker domains.
-
-      When {!Obs.Ring} tracing is enabled, workers record
-      [Solver_expand] (claim won, evaluation begins), [Claim_hit]
-      (probe answered by a resolved value), [Claim_miss] (probe hit a
-      live claim; helping begins), [Steal] (successful deque steal) and
-      [Solver_prune] (interval cut) events into their domains' rings.
-
-      With a memo budget armed, the workers share the instance's
-      spillable {!Store.Memo} instead of a fresh in-RAM table — same
-      claim protocol, same bit-identical result; [Store_spill],
-      [Store_cache_hit]/[Store_cache_miss] and [Store_evict] events
-      additionally land in the rings. *)
-  val value_par :
-    ?pool:Par.Pool.t ->
-    ?memo_budget:int ->
-    ?prune:bool ->
-    jobs:int ->
-    G.state ->
-    float
-
-  (** [last_par_stats ()] is the cross-domain telemetry of the most recent
-      [value_par] on this instance — [None] before the first, after
-      [reset], and after any subsequent root solve ([value], [best_move]
-      or [value_par] itself clear it on entry, so the report can never
-      describe work an intervening solve overwrote). Computed eagerly
-      when [value_par] returns; calling this costs nothing. *)
-  val last_par_stats : unit -> par_stats option
-
-  (** [best_move s] is a move achieving [value s]; [None] at terminals. *)
-  val best_move : G.state -> G.move option
+      Over {!Make_inplace}, [s] is mutated during the solve and restored
+      (journal-exactly) before returning. *)
+  val value : ?memo_budget:int -> ?prune:bool -> state -> float
 
   (** [explored ()] is the number of distinct states memoized so far. *)
   val explored : unit -> int
@@ -292,12 +267,22 @@ module Make (G : GAME) : sig
       every reachable state's value. Defaults to [(0, 1)] — always
       admissible for probabilities. Theorem 4.2 gives sharper instance
       bounds for the weakener games: [Prob\[O_a\]] below and the blunting
-      bound above. Soundness additionally requires [hi] to bound the
-      {e computed} (floating-point) child values, not only the exact
-      ones; this holds for [hi = 1] with power-of-two chance
-      probabilities (every model game), because round-to-nearest is
-      monotone and the products/sums cannot round above a representable
-      1.0. *)
+      bound above.
+
+      Both cuts need [hi] to bound the {e computed} (floating-point)
+      values, not only the exact ones. That holds when every terminal
+      payoff is [<= hi] and, at every chance node, the left-to-right
+      float fold of [p *. hi] over its branches stays [<= hi]: [+.] and
+      [*.] are monotone under round-to-nearest, so a computed chance
+      value is at most that fold. Uniform distributions over at most
+      eight branches pass with [hi = 1] (every model game, [solve -k 3]
+      included); nine branches of [1/9] do not — their fold is
+      [1.0000000000000002]. A pruned solve checks the chance condition
+      at every chance node it applies, the moves a max cut skips
+      included, and raises [Invalid_argument] naming the distribution
+      instead of returning a value a cut could have changed. It cannot
+      see distributions that occur only inside a subtree a cut skipped;
+      there the condition remains the game's obligation. *)
 
   (** [set_bounds ~lo ~hi] installs the admissible value interval used by
       [~prune:true] solves. Raises [Invalid_argument] unless [lo <= hi].
@@ -328,42 +313,59 @@ module Make (G : GAME) : sig
   val set_progress : ?interval_states:int -> (progress -> unit) option -> unit
 
   (** [reset ()] clears the memo table, zeroes [stats] (including the
-      pruned-subtree count), clears [last_par_stats], and re-arms the
+      pruned-subtree count), clears {!Make.last_par_stats}, and re-arms the
       per-solve telemetry baselines (solve start time and the per-solve
       miss base), so a reused instance reports sane [elapsed_s] and
       [states_per_sec] on its next solve. *)
   val reset : unit -> unit
 end
 
-(** The in-place sequential solver: same memoized expectimax as
-    {!Make.value} — same memo keys, same stats accounting, same
-    [mdp.value] span and [mdp.*] metrics, same progress hooks, same
-    interval-pruning cuts and audit mode — but the recursion explores
-    children by mutate / recurse / undo on the single working state, so
-    an expansion allocates no successor states at all. Values, explored
-    counts and hit/miss sequences are bit-identical to [Make] over the
-    pure presentation of the same game (see {!GAME_INPLACE} for the
-    agreement obligations). There is no parallel entry point: workers
-    would need a working state per domain; use {!Make.value_par} for
-    that. *)
-module Make_inplace (G : GAME_INPLACE) : sig
-  (** [value ?memo_budget ?prune s] — see {!Make.value}. [s] is mutated
-      during the solve and restored (journal-exactly) before
-      returning. *)
-  val value : ?memo_budget:int -> ?prune:bool -> G.state -> float
+(** The solver itself, over an in-place game. *)
+module Make_inplace (G : GAME_INPLACE) : SOLVER with type state := G.state
 
-  val explored : unit -> int
-  val stats : unit -> stats
+(** The solver over a pure game: {!Make_inplace} over {!Of_pure}, plus
+    the parallel entry point and [best_move]. *)
+module Make (G : GAME) : sig
+  include SOLVER with type state := G.state
 
-  (** See {!Make.store_stats}. *)
-  val store_stats : unit -> Store.Memo.stats option
-  val set_bounds : lo:float -> hi:float -> unit
-  val bounds : unit -> float * float
-  val set_prune_audit : bool -> unit
-  val pruned_subtrees : unit -> int
+  (** [value_par ?pool ?memo_budget ?prune ~jobs s] is [value s]
+      computed by [jobs] workers. The tree is expanded a few plies to a
+      frontier of distinct subtree roots, dealt into per-worker
+      work-stealing deques ({!Par.Deque}). Each worker runs [value]'s
+      evaluator over one shared claim table — a fresh {!Par.Sharded_tbl},
+      or the instance's {!Store.Memo} under a memo budget — so each state
+      is evaluated by exactly one worker, and a worker probing another's
+      live claim evaluates that state's children before waiting for the
+      owner's value. The result is bit-identical to [value s] at every
+      job count. [jobs <= 1] is [value]; a frontier smaller than [jobs]
+      is solved by one worker on the calling domain, over the instance's
+      own memo. With [pool] the caller's pool is reused (with fewer than
+      [jobs] slots the workers still all run, with less parallelism);
+      otherwise a fresh pool is created for the call.
 
-  val set_progress :
-    ?interval_states:int -> (progress -> unit) option -> unit
+      Work counters merge into [stats]: states and misses gain the
+      distinct-state count, hits the probe hits. A worker re-entering its
+      own claim raises [Cyclic]. Progress hooks do not fire from workers.
+      With {!Obs.Ring} tracing on, workers record [Solver_expand],
+      [Claim_hit], [Claim_miss], [Steal] and [Solver_prune] events, and a
+      store its [Store_*] events, into their domains' rings. *)
+  val value_par :
+    ?pool:Par.Pool.t ->
+    ?memo_budget:int ->
+    ?prune:bool ->
+    jobs:int ->
+    G.state ->
+    float
 
-  val reset : unit -> unit
+  (** [last_par_stats ()] is the cross-domain telemetry of the most recent
+      [value_par] on this instance — [None] before the first, after
+      [reset], and after any subsequent root solve ([value], [best_move]
+      or [value_par] itself clear it on entry, so the report can never
+      describe work an intervening solve overwrote). Computed eagerly
+      when [value_par] returns; calling this costs nothing. *)
+  val last_par_stats : unit -> par_stats option
+
+  (** [best_move s] is a move achieving [value s]; [None] at terminals. *)
+  val best_move : G.state -> G.move option
+
 end

@@ -97,17 +97,6 @@ let get t key =
   Mutex.unlock s.lock;
   r
 
-let get_slice t data ~len =
-  let s = shard_of_hash t (Slice_tbl.hash_slice data len) in
-  Mutex.lock s.lock;
-  let r =
-    match Slice_tbl.find_slice s.tbl data ~len with
-    | Some { Slice_tbl.value = Done v; _ } -> Some v
-    | Some { Slice_tbl.value = Claimed _; _ } | None -> None
-  in
-  Mutex.unlock s.lock;
-  r
-
 let length t =
   Array.fold_left
     (fun acc s ->
@@ -125,17 +114,3 @@ let resolved t =
       Mutex.unlock s.lock;
       acc + n)
     0 t.shards
-
-let iter_resolved t f =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.lock;
-      let pairs =
-        Slice_tbl.fold s.tbl
-          (fun k slot acc ->
-            match slot with Done v -> (k, v) :: acc | Claimed _ -> acc)
-          []
-      in
-      Mutex.unlock s.lock;
-      List.iter (fun (k, v) -> f k v) pairs)
-    t.shards

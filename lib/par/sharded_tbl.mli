@@ -55,17 +55,9 @@ val resolve : 'a t -> string -> 'a -> unit
 (** [get t key] is the resolved value, [None] while absent or claimed. *)
 val get : 'a t -> string -> 'a option
 
-(** [get_slice t data ~len] is {!get} keyed by the slice, allocating
-    nothing beyond the result option. *)
-val get_slice : 'a t -> Bytes.t -> len:int -> 'a option
-
 (** [length t] counts all bindings (claimed and resolved); exact when
     quiescent, a racy snapshot under concurrency. *)
 val length : 'a t -> int
 
 (** [resolved t] counts resolved bindings only. *)
 val resolved : 'a t -> int
-
-(** [iter_resolved t f] applies [f] to every resolved binding. Each shard
-    is snapshotted under its lock, then [f] runs outside it. *)
-val iter_resolved : 'a t -> (string -> 'a -> unit) -> unit

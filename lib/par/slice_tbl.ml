@@ -151,9 +151,3 @@ let find_string t key =
 
 let iter t f =
   Array.iter (fun chain -> List.iter (fun e -> f e.key e.value) chain) t.buckets
-
-let fold t f init =
-  Array.fold_left
-    (fun acc chain ->
-      List.fold_left (fun acc e -> f e.key e.value acc) acc chain)
-    init t.buckets

@@ -255,6 +255,86 @@ let test_dispatch_agrees () =
   Alcotest.(check int)
     "dispatched state count" (Pure_solver.stats ()).states states_seq
 
+(* ---- the pure-to-in-place adapter ---------------------------------- *)
+
+(* A root with [n] moves, each to its own terminal worth [i / n]. *)
+module Wide = struct
+  type state = Root of int | Leaf of int * int
+  type move = int
+  type transition = Det of state | Chance of (float * state) list
+
+  let moves = function Root n -> List.init n Fun.id | Leaf _ -> []
+  let apply s i = match s with Root n -> Det (Leaf (i, n)) | Leaf _ -> Det s
+
+  let terminal_value = function
+    | Leaf (i, n) -> float_of_int i /. float_of_int n
+    | Root _ -> 0.0
+
+  let encode = function
+    | Root n -> Fmt.str "r%d" n
+    | Leaf (i, n) -> Fmt.str "l%d/%d" i n
+
+  let encode_into s b = Mdp.Key.raw b (encode s)
+  let pp_move = Fmt.int
+end
+
+module Wide_pure = Mdp.Solver.Of_pure (Wide)
+module Wide_solver = Mdp.Solver.Make (Wide)
+
+(* The move mask is an int: a state with Sys.int_size - 1 or more moves
+   must be refused, not wrapped into a negative or truncated mask. *)
+let test_of_pure_mask_guard () =
+  let n = Sys.int_size - 2 in
+  Alcotest.(check int)
+    "largest mask" ((1 lsl n) - 1)
+    (Wide_pure.moves (Wide_pure.of_state (Wide.Root n)));
+  Wide_solver.reset ();
+  exact "widest solvable root" (float_of_int (n - 1) /. float_of_int n)
+    (Wide_solver.value (Wide.Root n));
+  List.iter
+    (fun n ->
+      match Wide_pure.moves (Wide_pure.of_state (Wide.Root n)) with
+      | m -> Alcotest.failf "%d moves gave mask %d" n m
+      | exception Invalid_argument _ -> ())
+    [ Sys.int_size - 1; 63 ];
+  Wide_solver.reset ();
+  match Wide_solver.value (Wide.Root 63) with
+  | v -> Alcotest.failf "63-move solve returned %g" v
+  | exception Invalid_argument _ -> Wide_solver.reset ()
+
+(* The adapter calls [G.moves] once per evaluated state and [G.apply]
+   once per explored move, like a solver over the pure game would. *)
+module Counted = struct
+  include Model.Weakener_atomic.Game
+
+  let moves_calls = ref 0
+  let apply_calls = ref 0
+  let moves_total = ref 0
+
+  let moves s =
+    incr moves_calls;
+    let ms = moves s in
+    moves_total := !moves_total + List.length ms;
+    ms
+
+  let apply s m =
+    incr apply_calls;
+    apply s m
+end
+
+module Counted_solver = Mdp.Solver.Make (Counted)
+
+let test_of_pure_call_counts () =
+  Counted_solver.reset ();
+  let v = Counted_solver.value Model.Weakener_atomic.init in
+  exact "atomic value" 0.5 v;
+  let st = Counted_solver.stats () in
+  Alcotest.(check int) "one moves call per evaluated state" st.memo_misses
+    !Counted.moves_calls;
+  Alcotest.(check int) "one apply call per explored move" !Counted.moves_total
+    !Counted.apply_calls;
+  Counted_solver.reset ()
+
 let tests =
   [
     Alcotest.test_case "encode_into = encode under buffer reuse" `Quick
@@ -267,4 +347,8 @@ let tests =
       test_solver_bit_identical;
     Alcotest.test_case "sequential dispatch routes in-place" `Quick
       test_dispatch_agrees;
+    Alcotest.test_case "Of_pure refuses masks past the int width" `Quick
+      test_of_pure_mask_guard;
+    Alcotest.test_case "Of_pure calls moves/apply once each" `Quick
+      test_of_pure_call_counts;
   ]

@@ -137,11 +137,7 @@ let test_tbl_claim_protocol () =
   | _ -> Alcotest.fail "post-resolve probe must return the value");
   Alcotest.(check (option int)) "get after resolve" (Some 42)
     (Par.Sharded_tbl.get t "k");
-  Alcotest.(check int) "resolved" 1 (Par.Sharded_tbl.resolved t);
-  let collected = ref [] in
-  Par.Sharded_tbl.iter_resolved t (fun k v -> collected := (k, v) :: !collected);
-  Alcotest.(check (list (pair string int)))
-    "iter_resolved sees the binding" [ ("k", 42) ] !collected
+  Alcotest.(check int) "resolved" 1 (Par.Sharded_tbl.resolved t)
 
 let test_tbl_double_resolve () =
   let t : int Par.Sharded_tbl.t = Par.Sharded_tbl.create () in
@@ -362,6 +358,49 @@ let test_prune_audit_clean () =
   exact "audited pruned value" 0.5 v;
   Atomic_s.reset ()
 
+(* A root with a safe move to a terminal worth 1.0, then a uniform
+   [n]-way chance move to terminals worth 1.0. For n = 9 the float fold
+   of nine 1/9 terms is 1.0000000000000002 > hi = 1, so the max cut after
+   the safe move would change the value: a pruned solve must refuse. *)
+module Split = struct
+  type state = Root of int | Win of int
+  type move = Safe | Split
+  type transition = Det of state | Chance of (float * state) list
+
+  let moves = function Root _ -> [ Safe; Split ] | Win _ -> []
+
+  let apply s m =
+    match (s, m) with
+    | Root n, Split ->
+        let p = 1.0 /. float_of_int n in
+        Chance (List.init n (fun i -> (p, Win (i + 1))))
+    | _ -> Det (Win 0)
+
+  let terminal_value _ = 1.0
+
+  let encode = function
+    | Root n -> "r" ^ string_of_int n
+    | Win i -> "w" ^ string_of_int i
+
+  let encode_into s b = Mdp.Key.raw b (encode s)
+  let pp_move ppf _ = Fmt.string ppf "move"
+end
+
+module Split_s = Mdp.Solver.Make (Split)
+
+let test_prune_rejects_unsound_chance () =
+  Split_s.reset ();
+  exact "nine 1/9 terms fold above 1" 1.0000000000000002
+    (Split_s.value (Split.Root 9));
+  Split_s.reset ();
+  (match Split_s.value ~prune:true (Split.Root 9) with
+  | v -> Alcotest.failf "pruned solve returned %.17g" v
+  | exception Invalid_argument _ -> ());
+  (* three 1/3 terms fold to exactly 1.0: pruning stays available *)
+  Split_s.reset ();
+  exact "3-way pruned" 1.0 (Split_s.value ~prune:true (Split.Root 3));
+  Split_s.reset ()
+
 let test_set_bounds_validation () =
   (match Atomic_s.set_bounds ~lo:1.0 ~hi:0.0 with
   | () -> Alcotest.fail "inverted bounds accepted"
@@ -440,6 +479,8 @@ let tests =
     Alcotest.test_case "matrix: VA^1, jobs 2/8 x prune" `Quick test_matrix_va;
     Alcotest.test_case "matrix: ghw^1, jobs 2/8 x prune" `Quick test_matrix_ghw;
     Alcotest.test_case "prune audit mode is clean" `Quick test_prune_audit_clean;
+    Alcotest.test_case "prune rejects a chance fold above hi" `Quick
+      test_prune_rejects_unsound_chance;
     Alcotest.test_case "set_bounds validates" `Quick test_set_bounds_validation;
     Alcotest.test_case "par telemetry is never stale" `Quick
       test_par_stats_freshness;
