@@ -121,16 +121,6 @@ let solve_cmd =
             "Emit live solver progress to stderr (memoized states, hit rate, \
              states/sec) every 50k states explored.")
   in
-  let prune_arg =
-    Arg.(
-      value & flag
-      & info [ "prune" ]
-          ~doc:
-            "Enable Theorem 4.2 interval branch-and-bound pruning on the ABD \
-             solve: subtrees that provably cannot change a max or expectation \
-             node's value are cut. The reported probability is bit-identical; \
-             only the explored state count shrinks.")
-  in
   let trace_out_arg =
     Arg.(
       value
@@ -156,7 +146,7 @@ let solve_cmd =
       & info [ "memprof-rate" ] ~docv:"R"
           ~doc:"Per-word sampling probability for $(b,--memprof).")
   in
-  let run () k atomic servers abd_c prune progress trace_out memprof
+  let run () k atomic servers abd_c progress trace_out memprof
       memprof_rate jobs memo_budget =
     if progress then
       Model.Weakener_abd.set_progress
@@ -184,7 +174,7 @@ let solve_cmd =
     else begin
       let v =
         Model.Weakener_abd.bad_probability ?memo_budget ~atomic_c:(not abd_c)
-          ~servers ~jobs ~prune ~k ()
+          ~servers ~jobs ~k ()
       in
       let st = Model.Weakener_abd.solver_stats () in
       Fmt.pr "weakener with ABD^%d registers (%d replicas%s):@." k servers
@@ -194,8 +184,6 @@ let solve_cmd =
       Fmt.pr "  Theorem 4.2 upper bound on the former   = %.6f@."
         (Core.Bound.weakener_instance ~k);
       Fmt.pr "  solver: %a@." Mdp.Solver.pp_stats st;
-      if prune then
-        Fmt.pr "  pruned subtrees: %d@." (Model.Weakener_abd.pruned_subtrees ());
       pp_store_stats_opt Fmt.stdout (Model.Weakener_abd.store_stats ());
       match Model.Weakener_abd.last_par_stats () with
       | Some ps -> Fmt.pr "  %a@." Mdp.Solver.pp_par_stats ps
@@ -218,7 +206,7 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc)
     Term.(
       const run $ verbosity_term $ k_arg $ atomic_arg $ servers_arg $ abd_c_arg
-      $ prune_arg $ progress_arg $ trace_out_arg $ memprof_arg
+      $ progress_arg $ trace_out_arg $ memprof_arg
       $ memprof_rate_arg $ jobs_term $ memo_budget_term)
 
 (* ---- figure1 -------------------------------------------------------- *)

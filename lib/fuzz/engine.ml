@@ -39,7 +39,6 @@ type summary = {
   model_checks : int;
   dist_checks : int;
   par_checks : int;
-  prune_checks : int;
   failures : Oracle.failure list;
   corpus_files : string list;
 }
@@ -48,8 +47,8 @@ let has_failures s = s.failures <> []
 
 let pp_summary ppf s =
   Fmt.pf ppf "fuzz seed=%d iterations=%d@." s.seed s.iterations;
-  Fmt.pf ppf "  oracle checks: lin=%d model=%d dist=%d par=%d prune=%d@."
-    s.lin_checks s.model_checks s.dist_checks s.par_checks s.prune_checks;
+  Fmt.pf ppf "  oracle checks: lin=%d model=%d dist=%d par=%d@." s.lin_checks
+    s.model_checks s.dist_checks s.par_checks;
   (match s.failures with
   | [] -> Fmt.pf ppf "  failures: none@."
   | fs ->
@@ -146,21 +145,20 @@ let run ?(jobs = 1) ?corpus_dir ?(planted = false) ?(dist_trials = 400)
     iter := !iter + b;
     if !nfailures >= max_failures then stop := true
   done;
-  (* Session oracles: distribution compatibility (Theorem 4.1),
-     seq-vs-par identity and pruning soundness. Run on the calling
-     domain, after the sweep, so the first's Monte-Carlo batches can
-     reuse the pool; the latter two spawn private pools, keeping their
-     verdicts (and the printed summary) independent of --jobs. *)
+  (* Session oracles: distribution compatibility (Theorem 4.1) and
+     seq-vs-par identity. Run on the calling domain, after the sweep, so
+     the first's Monte-Carlo batches can reuse the pool; the second spawns
+     private pools, keeping its verdict (and the printed summary)
+     independent of --jobs. *)
   let dist_failure = Oracle.dist ~pool ~seed ~trials:dist_trials ~k:2 () in
   let par_failure = Oracle.par_identity ~seed ~trials:200 () in
-  let prune_failure = Oracle.prune_vs_exact ~seed () in
   List.iter
     (function
       | None -> ()
       | Some f ->
           failures := f :: !failures;
           Obs.Metrics.incr M.failures)
-    [ dist_failure; par_failure; prune_failure ];
+    [ dist_failure; par_failure ];
   let shrunk = List.rev_map (shrink_failure ~seed) !failures in
   let corpus_files =
     match corpus_dir with
@@ -187,7 +185,6 @@ let run ?(jobs = 1) ?corpus_dir ?(planted = false) ?(dist_trials = 400)
     model_checks = !model_checks;
     dist_checks = 1;
     par_checks = 1;
-    prune_checks = 1;
     failures = shrunk;
     corpus_files;
   }
@@ -226,10 +223,6 @@ let replay_entry (e : Corpus.t) =
             Option.map
               (fun (f : Oracle.failure) -> f.detail)
               (Oracle.par_identity ~seed:e.seed ~trials:200 ())
-        | "prune", _ ->
-            Option.map
-              (fun (f : Oracle.failure) -> f.detail)
-              (Oracle.prune_vs_exact ~seed:e.seed ())
         | oracle, _ ->
             Fmt.failwith "corpus entry with unknown oracle %S" oracle)
   in

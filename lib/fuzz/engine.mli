@@ -29,7 +29,6 @@ type summary = {
   model_checks : int;
   dist_checks : int;
   par_checks : int;
-  prune_checks : int;
   failures : Oracle.failure list;  (** shrunk, in iteration order *)
   corpus_files : string list;  (** written for each failure, if a dir was given *)
 }

@@ -261,18 +261,16 @@ let dist ?pool ~seed ~trials ~k () =
             transformed;
       }
 
-(* ---- oracle 5: pruning soundness ------------------------------------ *)
+(* ---- oracle 4: seq-vs-par identity ---------------------------------- *)
 
-(* A synthetic layered-DAG game family for exercising the solver's
-   interval pruning far outside the hand-written models: states are
-   (level, id) pairs, every transition goes to level + 1 (acyclic by
-   construction), and the whole shape — fan-out, chance placement,
-   successors, terminal payoffs — is a pure function of a per-check salt
-   via the (deterministic, version-stable on ints) polymorphic hash.
-   Chance steps are fair coins, so computed values cannot round above
-   1.0 and the default (0, 1) bounds are FP-admissible (see
-   [Mdp.Solver.set_bounds]); terminal payoffs are k/100 with k <= 100. *)
-module Prune_game = struct
+(* A synthetic layered-DAG game family for exercising the parallel
+   solver far outside the hand-written models: states are (level, id)
+   pairs, every transition goes to level + 1 (acyclic by construction),
+   and the whole shape — fan-out, chance placement, successors, terminal
+   payoffs — is a pure function of a per-check salt via the
+   (deterministic, version-stable on ints) polymorphic hash. Chance steps
+   are fair coins; terminal payoffs are k/100 with k <= 100. *)
+module Dag_game = struct
   type params = { salt : int; levels : int; width : int; branch : int }
 
   (* set per check, before any solve on the instantiated solver *)
@@ -309,94 +307,45 @@ module Prune_game = struct
   let pp_move ppf (Move j) = Fmt.pf ppf "m%d" j
 end
 
-module Prune_solver = Mdp.Solver.Make (Prune_game)
+module Dag_solver = Mdp.Solver.Make (Dag_game)
 
-(* Pruned solves must agree with unpruned ones bitwise while exploring no
-   more states; audit mode re-evaluates every cut subtree and raises
-   [Prune_unsound] if a cut would have changed a value; and pruning must
-   compose with the work-stealing parallel solve. The RNG stream uses its
-   own seed family so it can never collide with the per-iteration stream
-   indices (4i .. 4i+3) of the same session seed. *)
-let prune_vs_exact ?(configs = 4) ~seed () =
+(* [configs] randomly shaped layered-DAG games: a 2-job [value_par] on a
+   private 2-domain pool must equal [value] bitwise. The RNG stream uses
+   its own seed family so it can never collide with the per-iteration
+   stream indices (4i .. 4i+3) of the same session seed. *)
+let dag_identity ~configs ~seed =
   let rng = Rng.stream ~seed:(seed + 7_777_777) ~index:0 in
-  let fail detail =
-    Some
-      { oracle = "prune"; seed; iter = 0; case = None; schedule = [||]; detail }
-  in
-  let check_config n =
-    let p =
-      {
-        Prune_game.salt = Rng.int rng 1_000_000_007;
-        levels = 4 + Rng.int rng 3;
-        width = 3 + Rng.int rng 4;
-        branch = 2 + Rng.int rng 3;
-      }
-    in
-    Prune_game.params := p;
-    let ctx detail =
-      fail
-        (Fmt.str "config %d (salt %d, levels %d, width %d, branch %d): %s" n
-           p.Prune_game.salt p.Prune_game.levels p.Prune_game.width
-           p.Prune_game.branch detail)
-    in
-    let root = (0, 0) in
-    Prune_solver.reset ();
-    let v_plain = Prune_solver.value root in
-    let explored_plain = Prune_solver.explored () in
-    Prune_solver.reset ();
-    let v_pruned = Prune_solver.value ~prune:true root in
-    let explored_pruned = Prune_solver.explored () in
-    let cuts = Prune_solver.pruned_subtrees () in
-    if v_pruned <> v_plain then
-      ctx
-        (Fmt.str "pruned value %.17g differs from exact %.17g (%d cuts)"
-           v_pruned v_plain cuts)
-    else if explored_pruned > explored_plain then
-      ctx
-        (Fmt.str "pruned solve explored %d states > unpruned %d"
-           explored_pruned explored_plain)
+  let rec go n =
+    if n >= configs then None
     else begin
-      (* every cut's interval really excluded the max: audit mode
-         recomputes each cut subtree and raises if one could have won *)
-      Prune_solver.reset ();
-      Prune_solver.set_prune_audit true;
-      let audit_result =
-        Fun.protect
-          ~finally:(fun () -> Prune_solver.set_prune_audit false)
-          (fun () ->
-            match Prune_solver.value ~prune:true root with
-            | v -> Ok v
-            | exception Mdp.Solver.Prune_unsound detail -> Error detail)
+      let p =
+        {
+          Dag_game.salt = Rng.int rng 1_000_000_007;
+          levels = 4 + Rng.int rng 3;
+          width = 3 + Rng.int rng 4;
+          branch = 2 + Rng.int rng 3;
+        }
       in
-      match audit_result with
-      | Error detail -> ctx ("audit: " ^ detail)
-      | Ok v_audit ->
-          if v_audit <> v_plain then
-            ctx
-              (Fmt.str "audited pruned value %.17g differs from exact %.17g"
-                 v_audit v_plain)
-          else begin
-            Prune_solver.reset ();
-            let v_par =
-              Par.Pool.with_pool ~jobs:2 (fun pool ->
-                  Prune_solver.value_par ~pool ~prune:true ~jobs:2 root)
-            in
-            Prune_solver.reset ();
-            if v_par <> v_plain then
-              ctx
-                (Fmt.str
-                   "parallel pruned value %.17g differs from exact %.17g"
-                   v_par v_plain)
-            else None
-          end
+      Dag_game.params := p;
+      let root = (0, 0) in
+      Dag_solver.reset ();
+      let v_seq = Dag_solver.value root in
+      Dag_solver.reset ();
+      let v_par =
+        Par.Pool.with_pool ~jobs:2 (fun pool ->
+            Dag_solver.value_par ~pool ~jobs:2 root)
+      in
+      Dag_solver.reset ();
+      if v_par <> v_seq then
+        Some
+          (Fmt.str
+             "DAG config %d (salt %d, levels %d, width %d, branch %d): \
+              value_par jobs 2 = %.17g, value = %.17g"
+             n p.salt p.levels p.width p.branch v_par v_seq)
+      else go (n + 1)
     end
   in
-  let rec go n = if n >= configs then None else
-    match check_config n with Some f -> Some f | None -> go (n + 1)
-  in
   go 0
-
-(* ---- oracle 4: seq-vs-par identity ---------------------------------- *)
 
 let par_identity ~seed ~trials () =
   let estimate ?pool ~jobs () =
@@ -430,5 +379,5 @@ let par_identity ~seed ~trials () =
       fail
         (Fmt.str "VA^1 solver value differs at jobs 1 vs 4: %.17g vs %.17g"
            v_seq v_par)
-    else None
+    else Option.bind (dag_identity ~configs:4 ~seed) fail
   end

@@ -1,4 +1,4 @@
-(** The five fuzz oracles.
+(** The four fuzz oracles.
 
     Each oracle checks one relational property the paper's development
     rests on; a failure of any of them on the healthy implementations is
@@ -17,13 +17,9 @@
       statistically compatible (Theorem 4.1 as a property test; Wilson
       intervals from {!Util.Stats}).
     - {b par} (per session): Monte-Carlo tallies and exact solver values
-      are bit-identical at [--jobs 1] and [--jobs 4] ({!Par.Pool}).
-    - {b prune} (per session): on randomly generated layered-DAG games,
-      interval-pruned solves return bitwise the exact optimal value while
-      exploring no more states, every cut survives audit-mode
-      re-evaluation (each pruned subtree's interval really excluded the
-      max — [Mdp.Solver.Prune_unsound] otherwise), and pruning composes
-      with the work-stealing parallel solve.
+      are bit-identical at [--jobs 1] and [--jobs 4] ({!Par.Pool}), and on
+      randomly generated layered-DAG games the work-stealing parallel
+      solve returns bitwise the sequential value.
 
     Every per-case execution is a pure function of [(seed, iter, case)]:
     the scheduler RNG, the random tape and the generated case all derive
@@ -82,14 +78,9 @@ val dist : ?pool:Par.Pool.t -> seed:int -> trials:int -> k:int -> unit -> failur
 
 (** [par_identity ~seed ~trials ()] checks seq-vs-par identity of
     Monte-Carlo tallies and of the exact VA^1 solver value at jobs 1
-    vs 4. Spawns (and always joins) its own 4-domain pool. *)
+    vs 4, then, on 4 randomly shaped layered-DAG games, of [value] vs
+    [value_par ~jobs:2]. Spawns (and always joins) its own pools — one of
+    4 domains, one of 2 per DAG game — and draws the DAG shapes from an
+    RNG stream disjoint from the per-iteration streams, so its verdict is
+    independent of the session's [--jobs]. *)
 val par_identity : seed:int -> trials:int -> unit -> failure option
-
-(** [prune_vs_exact ?configs ~seed ()] checks pruning soundness on
-    [configs] (default 4) randomly shaped layered-DAG games: pruned vs
-    unpruned value identity, explored-state monotonicity, audit-mode
-    cleanliness, and pruned parallel identity (own 2-domain pool). Runs
-    entirely on the calling domain (plus its private pool), with an RNG
-    stream from a seed family disjoint from the per-iteration streams, so
-    its verdict is independent of the session's [--jobs]. *)
-val prune_vs_exact : ?configs:int -> seed:int -> unit -> failure option

@@ -14,7 +14,6 @@ module M = struct
   let states = counter ~help:"distinct states memoized" "mdp.states_explored"
   let depth = gauge ~help:"deepest recursion seen" "mdp.max_depth"
   let solve_seconds = histogram ~help:"value() wall time per root solve" "mdp.solve_seconds"
-  let pruned = counter ~help:"subtrees cut by interval pruning" "mdp.pruned_subtrees"
   let steals = counter ~help:"work-stealing deque steals" "mdp.steals"
   let claim_misses = counter ~help:"shared-memo probes that hit a live claim" "mdp.claim_misses"
 end
@@ -55,7 +54,6 @@ module type GAME_INPLACE = sig
 end
 
 exception Cyclic
-exception Prune_unsound of string
 
 type stats = {
   states : int;  (** distinct states currently memoized *)
@@ -89,11 +87,10 @@ type par_stats = {
 
 let pp_par_stats ppf p =
   Fmt.pf ppf
-    "%d domains, %d distinct keys, %d duplicated (%.1f%% of work), %d \
-     steals, %d claim hits / %d claim misses, %d pruned:@,"
-    (List.length p.domains) p.distinct_keys p.duplicated_keys
-    p.duplicated_work_pct p.steals p.claim_hits p.claim_misses
-    p.pruned_subtrees;
+    "%d domains, %d distinct keys, %d steals, %d claim hits / %d claim \
+     misses:@,"
+    (List.length p.domains) p.distinct_keys p.steals p.claim_hits
+    p.claim_misses;
   List.iter
     (fun d -> Fmt.pf ppf "  domain %d: %a@," d.domain_id pp_stats d.stats)
     p.domains
@@ -256,7 +253,6 @@ type worker = {
   mutable misses : int;
   mutable states : int;  (* states this worker resolved *)
   mutable max_depth : int;
-  mutable pruned : int;  (* subtrees cut by interval pruning *)
   mutable claim_misses : int;
   mutable steals : int;
 }
@@ -273,7 +269,6 @@ let make_worker ?ticker ?(shared = false) ?(abort = Atomic.make false) wid =
     misses = 0;
     states = 0;
     max_depth = 0;
-    pruned = 0;
     claim_misses = 0;
     steals = 0;
   }
@@ -377,7 +372,6 @@ let reset_instance i =
   w.misses <- 0;
   w.states <- 0;
   w.max_depth <- 0;
-  w.pruned <- 0;
   (* re-arm the per-solve telemetry too: a reused instance must not
      compute its second solve's states/sec against the first solve's
      start time or cumulative miss count *)
@@ -456,14 +450,10 @@ end
 module type SOLVER = sig
   type state
 
-  val value : ?memo_budget:int -> ?prune:bool -> state -> float
+  val value : ?memo_budget:int -> state -> float
   val explored : unit -> int
   val stats : unit -> stats
   val store_stats : unit -> Store.Memo.stats option
-  val set_bounds : lo:float -> hi:float -> unit
-  val bounds : unit -> float * float
-  val set_prune_audit : bool -> unit
-  val pruned_subtrees : unit -> int
   val set_progress : ?interval_states:int -> (progress -> unit) option -> unit
   val reset : unit -> unit
 end
@@ -497,25 +487,6 @@ module Make_inplace (G : GAME_INPLACE) = struct
 
   let stats () = stats_of default
 
-  (* ---- admissible value bounds ---------------------------------------
-
-     Both interval cuts need [hi] above every COMPUTED (floating-point)
-     value. That holds when terminal payoffs are <= [hi] and each chance
-     node's left-to-right fold of [p *. hi] stays <= [hi] (see the
-     interval-pruning section of solver.mli); [check_chance] tests the
-     latter at each chance node a pruned solve applies. *)
-  let bound_lo = ref 0.0
-  let bound_hi = ref 1.0
-  let prune_audit = ref false
-
-  let set_bounds ~lo ~hi =
-    if not (lo <= hi) then invalid_arg "Mdp.Solver.set_bounds: need lo <= hi";
-    bound_lo := lo;
-    bound_hi := hi
-
-  let bounds () = (!bound_lo, !bound_hi)
-  let set_prune_audit b = prune_audit := b
-
   (* index of the lowest set bit: moves fold in ascending id order *)
   let rec lowest m i = if m land 1 = 1 then i else lowest (m lsr 1) (i + 1)
 
@@ -525,32 +496,6 @@ module Make_inplace (G : GAME_INPLACE) = struct
       each_move (mask land (mask - 1)) f
     end
 
-  (* [hi] in place of every child value of chance move [m] from branch
-     [j] on, folded onto [partial] *)
-  let upper s m n partial j =
-    let hi = !bound_hi in
-    let u = ref partial in
-    for l = j to n - 1 do
-      u := !u +. (G.prob s m l *. hi)
-    done;
-    !u
-
-  let check_chance s m n depth =
-    let hi = !bound_hi in
-    let u = upper s m n 0.0 0 in
-    if u > hi then
-      invalid_arg
-        (Fmt.str
-           "Mdp.Solver: ~prune is unsound on the chance distribution [%a] at \
-            depth %d: its fold of p *. hi reaches %.17g > hi = %.17g"
-           Fmt.(list ~sep:semi (fmt "%.17g"))
-           (List.init n (G.prob s m))
-           depth u hi)
-
-  let on_prune w fp depth =
-    w.pruned <- w.pruned + 1;
-    if Obs.Ring.enabled () then Obs.Ring.record Obs.Ring.Solver_prune fp depth
-
   let fingerprint b = Par.Slice_tbl.hash_slice (Key.data b) (Key.length b)
 
   (* The probe. A resolved state is a hit; a live claim of our own is a
@@ -558,7 +503,7 @@ module Make_inplace (G : GAME_INPLACE) = struct
      evaluated and resolved. The buffer is dead once the probe returns —
      children clobber it freely — so the fresh claim's fingerprint is
      taken first. *)
-  let rec eval ~prune w cl depth s =
+  let rec eval w cl depth s =
     if depth > w.max_depth then w.max_depth <- depth;
     let b = w.buf in
     Key.reset b;
@@ -576,7 +521,7 @@ module Make_inplace (G : GAME_INPLACE) = struct
         w.claim_misses <- w.claim_misses + 1;
         if Obs.Ring.enabled () then Obs.Ring.record Obs.Ring.Claim_miss o depth;
         (* the await needs the key after the buffer has been clobbered *)
-        help ~prune w cl depth s (Key.contents b)
+        help w cl depth s (Key.contents b)
     | Claimed h ->
         let fp = if Obs.Ring.enabled () then fingerprint b else 0 in
         w.misses <- w.misses + 1;
@@ -590,7 +535,7 @@ module Make_inplace (G : GAME_INPLACE) = struct
               Obs.Ring.record Obs.Ring.Solver_terminal fp depth;
             G.terminal_value s
           end
-          else fold ~prune w cl depth s fp mask
+          else fold w cl depth s mask
         in
         cl.resolve h v;
         w.states <- w.states + 1;
@@ -598,96 +543,45 @@ module Make_inplace (G : GAME_INPLACE) = struct
 
   (* do-move / recurse / restore: the only state "copy" is what the move
      itself journals *)
-  and child ~prune w cl depth s m j =
+  and child w cl depth s m j =
     let u = G.checkpoint s in
     G.apply s ~move:m ~branch:j;
-    let v = eval ~prune w cl (depth + 1) s in
+    let v = eval w cl (depth + 1) s in
     G.restore s u;
     v
 
-  and move_value ~prune w cl depth s fp acc m =
+  and move_value w cl depth s m =
     match G.branches s m with
-    | 0 -> child ~prune w cl depth s m 0
-    | n ->
-        if prune then check_chance s m n depth;
-        chance ~prune w cl depth s fp acc m n
+    | 0 -> child w cl depth s m 0
+    | n -> chance w cl depth s m n
 
-  (* With [prune], before each chance child: bound the rest of the fold
-     by [upper]; if even that cannot beat the parent's [acc], the chance
-     value cannot win the max, and the partial sum (<= the bound) is
-     returned — [Float.max acc partial = acc] as with the full value.
-     Chance values are never memoized, so the partial sum is invisible
-     outside the cut. In audit mode the fold runs on and the cut is
-     checked against the full value. *)
-  and chance ~prune w cl depth s fp acc m n =
-    let rec go partial j cut =
-      if j >= n then begin
-        (match cut with
-        | Some bound when Float.max acc partial <> acc ->
-            raise
-              (Prune_unsound
-                 (Fmt.str
-                    "chance cut at depth %d: bound %.17g <= acc %.17g but \
-                     full value %.17g beats it"
-                    depth bound acc partial))
-        | _ -> ());
-        partial
-      end
-      else if prune && Option.is_none cut && upper s m n partial j <= acc
-      then begin
-        on_prune w fp depth;
-        if !prune_audit then go partial j (Some (upper s m n partial j))
-        else partial
-      end
+  (* each branch's probability is read on the unmutated parent, before
+     the child's apply *)
+  and chance w cl depth s m n =
+    let rec go partial j =
+      if j >= n then partial
       else
         let p = G.prob s m j in
-        go (partial +. (p *. child ~prune w cl depth s m j)) (j + 1) cut
+        go (partial +. (p *. child w cl depth s m j)) (j + 1)
     in
-    go 0.0 0 None
+    go 0.0 0
 
-  (* With [prune], once [acc >= hi] every remaining move's value is <= hi
-     <= acc, so the rest of the max-fold is the identity. The skipped
-     moves' chance distributions are still checked: the cut relies on
-     them. *)
-  and fold ~prune w cl depth s fp mask =
-    let hi = !bound_hi in
-    let rec go acc mask cut =
-      if mask = 0 then begin
-        (match cut with
-        | Some at when acc <> at ->
-            raise
-              (Prune_unsound
-                 (Fmt.str
-                    "max cut at depth %d: acc %.17g >= hi %.17g but full \
-                     fold reaches %.17g"
-                    depth at hi acc))
-        | _ -> ());
-        acc
-      end
-      else if prune && Option.is_none cut && acc >= hi then begin
-        on_prune w fp depth;
-        if !prune_audit then go acc mask (Some acc)
-        else begin
-          each_move mask (fun m ->
-              let n = G.branches s m in
-              if n > 0 then check_chance s m n depth);
-          acc
-        end
-      end
+  and fold w cl depth s mask =
+    let rec go acc mask =
+      if mask = 0 then acc
       else
-        let m = lowest mask 0 in
-        let v = move_value ~prune w cl depth s fp acc m in
-        go (Float.max acc v) (mask land (mask - 1)) cut
+        let v = move_value w cl depth s (lowest mask 0) in
+        go (Float.max acc v) (mask land (mask - 1))
     in
-    go neg_infinity mask None
+    go neg_infinity mask
 
   (* Another worker owns the claim on [s]. Evaluate [s]'s children
      through the shared memo — the claim protocol hands each to exactly
      one worker, so this is the owner's own pending work, not a
      duplicate — then wait for the owner's exact value. The helper never
-     computes a value for [s] itself: [s]'s value must come from the
-     owner's single fold, or prune-cut folds could disagree with it. *)
-  and help ~prune w cl depth s key =
+     computes a value for [s] itself: only the owner of a claim may
+     resolve it, and it resolves it exactly once. *)
+  and help w cl depth s key =
     (* the whole helping protocol — evaluating the busy state's children
        plus the await spin — is claim-miss overhead; tag its allocations
        so the profiler can separate it from first-visit expansion *)
@@ -695,7 +589,7 @@ module Make_inplace (G : GAME_INPLACE) = struct
     Obs.Memprof.set_phase (Some Obs.Memprof.Claim_wait);
     each_move (G.moves s) (fun m ->
         for j = 0 to max 0 (G.branches s m - 1) do
-          ignore (child ~prune w cl depth s m j)
+          ignore (child w cl depth s m j)
         done);
     let rec await probes =
       match cl.get key with
@@ -734,7 +628,6 @@ module Make_inplace (G : GAME_INPLACE) = struct
     t.start <- Obs.Span.now_us ();
     t.base_misses <- default.seq.misses;
     let before = stats_of default in
-    let pruned_before = default.seq.pruned in
     (* tag allocations in the solve as expansion work for Obs.Memprof;
        the parallel workers refine the tag (steal/claim-wait) themselves *)
     let prev_phase = Obs.Memprof.phase () in
@@ -742,21 +635,19 @@ module Make_inplace (G : GAME_INPLACE) = struct
     Fun.protect
       ~finally:(fun () ->
         Obs.Memprof.set_phase prev_phase;
-        publish_delta before (stats_of default);
-        Obs.Metrics.add M.pruned (default.seq.pruned - pruned_before))
+        publish_delta before (stats_of default))
       (fun () -> fst (Obs.Span.time ~observe:M.solve_seconds span_name f))
 
-  let value ?memo_budget ?(prune = false) s =
+  let value ?memo_budget s =
     arm_store default (effective_budget memo_budget);
     let (Memo cl) = memo_of default in
-    root_call "mdp.value" (fun () -> eval ~prune default.seq cl 0 s)
+    root_call "mdp.value" (fun () -> eval default.seq cl 0 s)
 
   (* Live out-of-core telemetry: cumulative since the store was armed
      (parallel and sequential budgeted solves share the instance store),
      [None] while no budget has armed it. *)
   let store_stats () = Option.map Store.Memo.stats default.store
   let explored () = default.seq.states
-  let pruned_subtrees () = default.seq.pruned
 
   let reset () =
     last_par := None;
@@ -767,7 +658,7 @@ module Make (G : GAME) = struct
   module P = Of_pure (G)
   include Make_inplace (P)
 
-  let value ?memo_budget ?prune s = value ?memo_budget ?prune (P.of_state s)
+  let value ?memo_budget s = value ?memo_budget (P.of_state s)
   let last_par_stats () = !last_par
 
   let best_move s =
@@ -781,9 +672,7 @@ module Make (G : GAME) = struct
           if mask = 0 then []
           else
             let m = lowest mask 0 in
-            let v =
-              move_value ~prune:false default.seq cl 0 t 0 neg_infinity m
-            in
+            let v = move_value default.seq cl 0 t m in
             (v, P.move t m) :: score (mask land (mask - 1))
         in
         let scored = score mask in
@@ -917,8 +806,7 @@ module Make (G : GAME) = struct
       (fun w ->
         seq.hits <- seq.hits + w.hits;
         seq.misses <- seq.misses + w.misses;
-        seq.max_depth <- max seq.max_depth w.max_depth;
-        seq.pruned <- seq.pruned + w.pruned)
+        seq.max_depth <- max seq.max_depth w.max_depth)
       workers;
     seq.states <- seq.states + distinct;
     let steals = sum (fun w -> w.steals) in
@@ -935,11 +823,11 @@ module Make (G : GAME) = struct
           steals;
           claim_hits = sum (fun w -> w.hits);
           claim_misses;
-          pruned_subtrees = sum (fun w -> w.pruned);
+          pruned_subtrees = 0;
         }
 
-  let value_par ?pool ?memo_budget ?(prune = false) ~jobs s =
-    if jobs <= 1 then value ?memo_budget ~prune s
+  let value_par ?pool ?memo_budget ~jobs s =
+    if jobs <= 1 then value ?memo_budget s
     else
       root_call "mdp.value_par" @@ fun () ->
       arm_store default (effective_budget memo_budget);
@@ -957,7 +845,7 @@ module Make (G : GAME) = struct
               jobs);
         let w = make_worker 0 in
         let (Memo cl) = memo_of default in
-        let v = eval ~prune w cl 0 (P.of_state s) in
+        let v = eval w cl 0 (P.of_state s) in
         publish_par [| w |];
         v
       end
@@ -984,7 +872,7 @@ module Make (G : GAME) = struct
         let eval_leaf w i =
           Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
           let s, depth = leaves.(i) in
-          values.(i) <- eval ~prune w cl depth (P.of_state s)
+          values.(i) <- eval w cl depth (P.of_state s)
         in
         let worker_loop wid =
           let w = workers.(wid) in

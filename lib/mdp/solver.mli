@@ -103,12 +103,6 @@ end
 
 exception Cyclic
 
-(** Raised (only) in prune-audit mode when an interval cut would have
-    changed a computed value — see [set_prune_audit]. The payload pins the
-    offending cut: kind, depth, the bound that justified the cut and the
-    full value that beat it. *)
-exception Prune_unsound of string
-
 (** Counters describing one solver instance's work since its last [reset]:
     distinct states memoized, memo-table hits/misses, and the deepest
     recursion reached. Aggregates across all instances also land in
@@ -139,16 +133,15 @@ type domain_stats = { domain_id : int; stats : stats }
 (** Cross-domain telemetry of the most recent [value_par].
     [distinct_keys] is the number of distinct state keys resolved in the
     shared memo — equal to the sequential solve's state count for the
-    same root (unpruned). The claim protocol evaluates every key exactly
-    once, so [duplicated_keys] is 0 and [duplicated_work_pct] is 0.0 by
-    construction; they are constants, kept so results documents can be
-    compared against pre-rewrite baselines, where they measured the work
-    the old private-memo scheme wasted. [steals] counts successful deque
-    steals, [claim_hits]/[claim_misses] the shared-memo probes answered by a
-    resolved value / by another worker's live claim (the helping
-    protocol), and [pruned_subtrees] the interval cuts taken (0 unless
-    [~prune:true]). All exact, unlike the ring-trace estimates of
-    [Obs.Trace_analysis]. *)
+    same root. The claim protocol evaluates every key exactly once, so
+    [duplicated_keys] is 0 and [duplicated_work_pct] is 0.0 by
+    construction, and the solver has no interval cuts, so
+    [pruned_subtrees] is 0; all three are constants, kept so results
+    documents keep their schema and compare against older baselines.
+    [steals] counts successful deque steals, [claim_hits]/[claim_misses]
+    the shared-memo probes answered by a resolved value / by another
+    worker's live claim (the helping protocol). All exact, unlike the
+    ring-trace estimates of [Obs.Trace_analysis]. *)
 type par_stats = {
   domains : domain_stats list;  (** sorted by domain id *)
   distinct_keys : int;
@@ -229,18 +222,10 @@ end
 module type SOLVER = sig
   type state
 
-  (** [value ?prune s] is the optimal (adversary-maximal) probability from
-      [s]. With [~prune:true], chance-node children whose interval upper
-      bound (every unevaluated child at the [hi] of [bounds ()]) cannot
-      beat the parent max are cut, and max folds stop once the
-      accumulator reaches [hi] — both cuts are value-exact (the returned
-      value is bit-identical to the unpruned solve) under the
-      precondition stated with [set_bounds], which a pruned solve checks
-      at each chance node it applies, raising [Invalid_argument] naming
-      the distribution where it fails. Fewer states are explored, so
-      [explored ()] may be smaller. Only fully-evaluated state values
-      enter the memo, so pruned and unpruned solves may share an
-      instance.
+  (** [value s] is the optimal (adversary-maximal) probability from [s]:
+      the max over moves in ascending id order, folded with [Float.max]
+      from [neg_infinity]; at chance moves the left-to-right sum
+      [partial +. p *. v] from [0.0] over the branches.
 
       [?memo_budget] (or the process default) runs the memo
       out-of-core — see the "Out-of-core memo budget" section above;
@@ -248,7 +233,7 @@ module type SOLVER = sig
 
       Over {!Make_inplace}, [s] is mutated during the solve and restored
       (journal-exactly) before returning. *)
-  val value : ?memo_budget:int -> ?prune:bool -> state -> float
+  val value : ?memo_budget:int -> state -> float
 
   (** [explored ()] is the number of distinct states memoized so far. *)
   val explored : unit -> int
@@ -261,49 +246,6 @@ module type SOLVER = sig
       budget armed it — [None] while the instance is purely in-RAM. *)
   val store_stats : unit -> Store.Memo.stats option
 
-  (** {2 Interval pruning}
-
-      Branch-and-bound needs an a-priori interval [lo, hi] containing
-      every reachable state's value. Defaults to [(0, 1)] — always
-      admissible for probabilities. Theorem 4.2 gives sharper instance
-      bounds for the weakener games: [Prob\[O_a\]] below and the blunting
-      bound above.
-
-      Both cuts need [hi] to bound the {e computed} (floating-point)
-      values, not only the exact ones. That holds when every terminal
-      payoff is [<= hi] and, at every chance node, the left-to-right
-      float fold of [p *. hi] over its branches stays [<= hi]: [+.] and
-      [*.] are monotone under round-to-nearest, so a computed chance
-      value is at most that fold. Uniform distributions over at most
-      eight branches pass with [hi = 1] (every model game, [solve -k 3]
-      included); nine branches of [1/9] do not — their fold is
-      [1.0000000000000002]. A pruned solve checks the chance condition
-      at every chance node it applies, the moves a max cut skips
-      included, and raises [Invalid_argument] naming the distribution
-      instead of returning a value a cut could have changed. It cannot
-      see distributions that occur only inside a subtree a cut skipped;
-      there the condition remains the game's obligation. *)
-
-  (** [set_bounds ~lo ~hi] installs the admissible value interval used by
-      [~prune:true] solves. Raises [Invalid_argument] unless [lo <= hi].
-      Instance-global: affects subsequent solves until changed. *)
-  val set_bounds : lo:float -> hi:float -> unit
-
-  (** [bounds ()] is the current [(lo, hi)]. *)
-  val bounds : unit -> float * float
-
-  (** [set_prune_audit true] makes every subsequent pruned solve evaluate
-      each would-be cut subtree anyway and raise {!Prune_unsound} if the
-      cut would have changed the parent's value — the pruning-soundness
-      fuzz oracle's mode. Audit solves explore as much as unpruned ones
-      (plus the verification folds); [pruned_subtrees ()] still counts
-      the cuts that fired. Default off. *)
-  val set_prune_audit : bool -> unit
-
-  (** [pruned_subtrees ()] is the number of interval cuts taken since the
-      last [reset] (sequential and parallel solves combined). *)
-  val pruned_subtrees : unit -> int
-
   (** [set_progress ?interval_states hook] installs (or, with [None],
       removes) a progress hook for this instance. It fires synchronously
       from inside the recursion every [interval_states] newly memoized
@@ -312,11 +254,11 @@ module type SOLVER = sig
       [blunting.mdp] source, hook or not. *)
   val set_progress : ?interval_states:int -> (progress -> unit) option -> unit
 
-  (** [reset ()] clears the memo table, zeroes [stats] (including the
-      pruned-subtree count), clears {!Make.last_par_stats}, and re-arms the
-      per-solve telemetry baselines (solve start time and the per-solve
-      miss base), so a reused instance reports sane [elapsed_s] and
-      [states_per_sec] on its next solve. *)
+  (** [reset ()] clears the memo table, zeroes [stats], clears
+      {!Make.last_par_stats}, and re-arms the per-solve telemetry
+      baselines (solve start time and the per-solve miss base), so a
+      reused instance reports sane [elapsed_s] and [states_per_sec] on
+      its next solve. *)
   val reset : unit -> unit
 end
 
@@ -328,7 +270,7 @@ module Make_inplace (G : GAME_INPLACE) : SOLVER with type state := G.state
 module Make (G : GAME) : sig
   include SOLVER with type state := G.state
 
-  (** [value_par ?pool ?memo_budget ?prune ~jobs s] is [value s]
+  (** [value_par ?pool ?memo_budget ~jobs s] is [value s]
       computed by [jobs] workers. The tree is expanded a few plies to a
       frontier of distinct subtree roots, dealt into per-worker
       work-stealing deques ({!Par.Deque}). Each worker runs [value]'s
@@ -347,12 +289,11 @@ module Make (G : GAME) : sig
       distinct-state count, hits the probe hits. A worker re-entering its
       own claim raises [Cyclic]. Progress hooks do not fire from workers.
       With {!Obs.Ring} tracing on, workers record [Solver_expand],
-      [Claim_hit], [Claim_miss], [Steal] and [Solver_prune] events, and a
+      [Claim_hit], [Claim_miss] and [Steal] events, and a
       store its [Store_*] events, into their domains' rings. *)
   val value_par :
     ?pool:Par.Pool.t ->
     ?memo_budget:int ->
-    ?prune:bool ->
     jobs:int ->
     G.state ->
     float

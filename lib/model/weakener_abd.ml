@@ -448,12 +448,11 @@ let init ?(atomic_c = true) ?(servers = 3) ~k () : Game.state =
   }
 
 let bad_probability ?pool ?memo_budget ?(atomic_c = true) ?(servers = 3)
-    ?(jobs = 1) ?(prune = false) ~k () =
-  S.value_par ?pool ?memo_budget ~prune ~jobs (init ~atomic_c ~servers ~k ())
+    ?(jobs = 1) ~k () =
+  S.value_par ?pool ?memo_budget ~jobs (init ~atomic_c ~servers ~k ())
 let best_move = S.best_move
 let store_stats () = S.store_stats ()
 let explored_states () = S.explored ()
-let pruned_subtrees () = S.pruned_subtrees ()
 let reset () = S.reset ()
 let solver_stats () = S.stats ()
 let last_par_stats () = S.last_par_stats ()

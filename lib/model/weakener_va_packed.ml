@@ -366,8 +366,7 @@ let copy (s : Game.state) : Game.state =
 let equal (a : Game.state) (b : Game.state) =
   a.Game.k = b.Game.k && a.Game.cells = b.Game.cells
 
-let bad_probability ?memo_budget ?prune ~k () =
-  S.value ?memo_budget ?prune (init ~k)
+let bad_probability ?memo_budget ~k () = S.value ?memo_budget (init ~k)
 
 let store_stats () = S.store_stats ()
 let explored_states () = S.explored ()

@@ -27,10 +27,10 @@ val copy : Game.state -> Game.state
     write, not just the semantically live cells. *)
 val equal : Game.state -> Game.state -> bool
 
-(** [bad_probability ?prune ~k ()] is the exact adversary-optimal
+(** [bad_probability ~k ()] is the exact adversary-optimal
     probability that [p2] loops forever with [VA^k] registers —
     bit-identical to [Weakener_va.bad_probability ~jobs:1 ~k ()]. *)
-val bad_probability : ?memo_budget:int -> ?prune:bool -> k:int -> unit -> float
+val bad_probability : ?memo_budget:int -> k:int -> unit -> float
 
 (** See {!Mdp.Solver.Make_inplace.store_stats}. *)
 val store_stats : unit -> Store.Memo.stats option

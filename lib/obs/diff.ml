@@ -63,11 +63,9 @@ let is_soft_key k =
   (* schema-v3/v4 parallel telemetry: per-domain splits, duplicate-key
      figures and the steal/claim/helping counters depend on how the
      scheduler interleaved the worker domains, not on the algorithm
-     ("jobs" itself stays a hard key); prune counts move with the
-     evaluation order too *)
+     ("jobs" itself stays a hard key) *)
   || has "domain" || has "duplicat" || has "queue" || has "par_solve"
   || has "utilization" || has "speedup" || has "steal" || has "claim"
-  || has "prune"
   (* out-of-core store telemetry: run/eviction/cache-traffic counts move
      with the budget and, under jobs > 1, with the worker schedule; the
      solved values and distinct-state counts stay hard keys *)

@@ -2,7 +2,6 @@ type tag =
   | Solver_expand
   | Solver_hit
   | Solver_terminal
-  | Solver_prune
   | Pool_task_start
   | Pool_task_stop
   | Pool_idle_start
@@ -25,12 +24,13 @@ type tag =
   | Store_cache_miss
   | Store_evict
 
-(* Wire codes are part of the dump format: append only, never renumber. *)
+(* Wire codes are part of the dump format: append only, never renumber.
+   Code 3 belonged to the retired interval-pruning event; it stays
+   unassigned, so old dumps' code-3 events decode as unknown and drop. *)
 let tag_code = function
   | Solver_expand -> 0
   | Solver_hit -> 1
   | Solver_terminal -> 2
-  | Solver_prune -> 3
   | Pool_task_start -> 4
   | Pool_task_stop -> 5
   | Pool_idle_start -> 6
@@ -55,7 +55,7 @@ let tag_code = function
 
 let all_tags =
   [
-    Solver_expand; Solver_hit; Solver_terminal; Solver_prune; Pool_task_start;
+    Solver_expand; Solver_hit; Solver_terminal; Pool_task_start;
     Pool_task_stop; Pool_idle_start; Pool_idle_stop; Pool_queue_depth;
     Sim_step; Sim_deliver; Sim_crash; Adv_decision; Gc_minor; Gc_major;
     Domain_spawn; Domain_stop; Steal; Claim_hit; Claim_miss; Alloc_sample;
@@ -68,7 +68,6 @@ let tag_name = function
   | Solver_expand -> "solver_expand"
   | Solver_hit -> "solver_hit"
   | Solver_terminal -> "solver_terminal"
-  | Solver_prune -> "solver_prune"
   | Pool_task_start -> "pool_task_start"
   | Pool_task_stop -> "pool_task_stop"
   | Pool_idle_start -> "pool_idle_start"
@@ -503,7 +502,7 @@ let chrome_domain_events ~pid d =
       | Adv_decision ->
           instant "adv_decision"
             [ ("enabled", Json.Int e.a); ("chosen", Json.Int e.b) ]
-      | Solver_expand | Solver_hit | Solver_terminal | Solver_prune ->
+      | Solver_expand | Solver_hit | Solver_terminal ->
           instant (tag_name e.tag)
             [ ("key", Json.Int e.a); ("depth", Json.Int e.b) ]
       | Claim_hit ->

@@ -31,8 +31,7 @@
 
 (** Event tags. Payload conventions ([a], [b]):
     - solver events: [a] = state-key hash, [b] = recursion depth
-      ([Solver_expand] is a memo miss — evaluation of a new state begins;
-      [Solver_prune] is reserved for the work-stealing solver);
+      ([Solver_expand] is a memo miss — evaluation of a new state begins);
     - pool events: [Pool_task_start]/[stop] bracket one chunk of a
       parallel region ([a] = first index, [b] = one past the last);
       [Pool_idle_start]/[stop] bracket a worker blocking on the queue;
@@ -65,7 +64,6 @@ type tag =
   | Solver_expand
   | Solver_hit
   | Solver_terminal
-  | Solver_prune
   | Pool_task_start
   | Pool_task_stop
   | Pool_idle_start

@@ -7,7 +7,6 @@ type domain_report = {
   claim_hits : int;
   claim_misses : int;
   steals : int;
-  pruned : int;
   spills : int;
   spill_bytes : int;
   store_cache_hits : int;
@@ -151,7 +150,7 @@ let analyze ?(top = 10) ?(buckets = 20) (d : Ring.dump) =
       (fun (dd : Ring.domain_dump) ->
         let hits = ref 0 and misses = ref 0 in
         let c_hits = ref 0 and c_misses = ref 0 in
-        let steals = ref 0 and pruned = ref 0 in
+        let steals = ref 0 in
         let spills = ref 0 and spill_bytes = ref 0 in
         let s_hits = ref 0 and s_misses = ref 0 and s_evicts = ref 0 in
         let a_samples = ref 0 and a_words = ref 0 in
@@ -176,7 +175,6 @@ let analyze ?(top = 10) ?(buckets = 20) (d : Ring.dump) =
                    but never fed to the key accumulator *)
                 incr c_misses
             | Ring.Steal -> incr steals
-            | Ring.Solver_prune -> incr pruned
             | Ring.Store_spill ->
                 (* [a] = entries in the run, [b] = run bytes on disk *)
                 incr spills;
@@ -240,7 +238,6 @@ let analyze ?(top = 10) ?(buckets = 20) (d : Ring.dump) =
           claim_hits = !c_hits;
           claim_misses = !c_misses;
           steals = !steals;
-          pruned = !pruned;
           spills = !spills;
           spill_bytes = !spill_bytes;
           store_cache_hits = !s_hits;
@@ -370,20 +367,17 @@ let pp ppf t =
     let sum f = List.fold_left (fun a d -> a + f d) 0 t.domains in
     let steals = sum (fun d -> d.steals)
     and c_hits = sum (fun (d : domain_report) -> d.claim_hits)
-    and c_misses = sum (fun (d : domain_report) -> d.claim_misses)
-    and pruned = sum (fun (d : domain_report) -> d.pruned) in
-    if steals + c_hits + c_misses + pruned > 0 then
+    and c_misses = sum (fun (d : domain_report) -> d.claim_misses) in
+    if steals + c_hits + c_misses > 0 then
       Fmt.pf ppf
         "@,work stealing: %d steal%s, %d claim hit%s, %d claim miss%s \
-         (helping), %d pruned subtree%s@,"
+         (helping)@,"
         steals
         (if steals = 1 then "" else "s")
         c_hits
         (if c_hits = 1 then "" else "s")
         c_misses
-        (if c_misses = 1 then "" else "es")
-        pruned
-        (if pruned = 1 then "" else "s");
+        (if c_misses = 1 then "" else "es");
     let spills = sum (fun (d : domain_report) -> d.spills)
     and spill_bytes = sum (fun (d : domain_report) -> d.spill_bytes)
     and s_hits = sum (fun (d : domain_report) -> d.store_cache_hits)
@@ -469,7 +463,6 @@ let to_json t =
         ("claim_hits", Json.Int d.claim_hits);
         ("claim_misses", Json.Int d.claim_misses);
         ("steals", Json.Int d.steals);
-        ("pruned", Json.Int d.pruned);
         ("spills", Json.Int d.spills);
         ("spill_bytes", Json.Int d.spill_bytes);
         ("store_cache_hits", Json.Int d.store_cache_hits);

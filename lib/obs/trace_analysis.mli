@@ -24,7 +24,6 @@ type domain_report = {
   claim_hits : int;  (** shared-memo hits ([Claim_hit]) *)
   claim_misses : int;  (** probes of a live claim ([Claim_miss], helping) *)
   steals : int;  (** successful deque steals ([Steal]) *)
-  pruned : int;  (** interval cuts ([Solver_prune]) *)
   spills : int;  (** out-of-core sorted runs written ([Store_spill]) *)
   spill_bytes : int;  (** bytes those runs occupy on disk *)
   store_cache_hits : int;  (** block-cache hits ([Store_cache_hit]) *)

@@ -16,11 +16,7 @@
 
 type 'a slot = Claimed of int | Done of 'a
 
-type 'a shard = {
-  lock : Mutex.t;
-  tbl : 'a slot Slice_tbl.t;
-  mutable resolved : int;  (* [Done] bindings in this shard *)
-}
+type 'a shard = { lock : Mutex.t; tbl : 'a slot Slice_tbl.t }
 
 type 'a t = { shards : 'a shard array; mask : int }
 
@@ -33,11 +29,7 @@ let create ?(shards = default_shards) () =
   {
     shards =
       Array.init n (fun _ ->
-          {
-            lock = Mutex.create ();
-            tbl = Slice_tbl.create ~size:512 ();
-            resolved = 0;
-          });
+          { lock = Mutex.create (); tbl = Slice_tbl.create ~size:512 () });
     mask = n - 1;
   }
 
@@ -45,19 +37,7 @@ let shard_count t = Array.length t.shards
 let[@inline] shard_of_hash t h = t.shards.((h lsr 17) land t.mask)
 let shard_of t key = shard_of_hash t (Slice_tbl.hash_string key)
 
-type 'a claim = [ `Value of 'a | `Busy of int | `Claimed ]
 type 'a slice_claim = [ `Value of 'a | `Busy of int | `Claimed of string ]
-
-let find_or_claim t key ~owner : 'a claim =
-  let s = shard_of t key in
-  Mutex.lock s.lock;
-  let e = Slice_tbl.probe_string s.tbl key ~default:(Claimed owner) in
-  let r =
-    if Slice_tbl.last_was_new s.tbl then `Claimed
-    else match e.Slice_tbl.value with Done v -> `Value v | Claimed o -> `Busy o
-  in
-  Mutex.unlock s.lock;
-  r
 
 let find_or_claim_slice t data ~len ~owner : 'a slice_claim =
   let s = shard_of_hash t (Slice_tbl.hash_slice data len) in
@@ -74,15 +54,12 @@ let resolve t key v =
   let s = shard_of t key in
   Mutex.lock s.lock;
   let e = Slice_tbl.probe_string s.tbl key ~default:(Done v) in
-  if Slice_tbl.last_was_new s.tbl then s.resolved <- s.resolved + 1
-  else begin
+  if not (Slice_tbl.last_was_new s.tbl) then begin
     match e.Slice_tbl.value with
     | Done _ ->
         Mutex.unlock s.lock;
         invalid_arg "Par.Sharded_tbl.resolve: key already resolved"
-    | Claimed _ ->
-        e.Slice_tbl.value <- Done v;
-        s.resolved <- s.resolved + 1
+    | Claimed _ -> e.Slice_tbl.value <- Done v
   end;
   Mutex.unlock s.lock
 
@@ -96,21 +73,3 @@ let get t key =
   in
   Mutex.unlock s.lock;
   r
-
-let length t =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let n = Slice_tbl.length s.tbl in
-      Mutex.unlock s.lock;
-      acc + n)
-    0 t.shards
-
-let resolved t =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let n = s.resolved in
-      Mutex.unlock s.lock;
-      acc + n)
-    0 t.shards

@@ -8,7 +8,7 @@
 
     The claim protocol turns the table into a computation cache with an
     exactly-once guarantee. A slot is either [Claimed owner] (some caller
-    is computing the value) or [Done v]. {!find_or_claim} atomically
+    is computing the value) or [Done v]. {!find_or_claim_slice} atomically
     returns the finished value, reports the claim's owner, or installs a
     claim for the caller — so across any number of domains, exactly one
     caller is told [`Claimed] per key and computes it; everyone else
@@ -24,25 +24,19 @@ val create : ?shards:int -> unit -> 'a t
 
 val shard_count : 'a t -> int
 
-type 'a claim = [ `Value of 'a | `Busy of int | `Claimed ]
 type 'a slice_claim = [ `Value of 'a | `Busy of int | `Claimed of string ]
 
-(** [find_or_claim t key ~owner] atomically probes [key]:
+(** [find_or_claim_slice t data ~len ~owner] atomically probes the key
+    [Bytes.sub_string data 0 len], without materializing it:
     - [`Value v] — the key is resolved; [v] is shared.
     - [`Busy o] — claimed by owner-id [o] and not yet resolved. [o] is
       whatever id the claimant passed; callers use it to detect
       self-re-entry (a cycle) vs. another domain to help or wait for.
-    - [`Claimed] — the claim was installed for this caller, which must
-      eventually {!resolve} the key. *)
-val find_or_claim : 'a t -> string -> owner:int -> 'a claim
-
-(** [find_or_claim_slice t data ~len ~owner] is {!find_or_claim} keyed by
-    the slice [Bytes.sub_string data 0 len] — without materializing it.
-    The hot path for solver workers probing with a reusable encode
-    buffer: [`Value]/[`Busy] outcomes allocate nothing; only a fresh
-    claim copies the slice to an owned string, returned as
-    [`Claimed key] so the claimant can {!resolve} it after the buffer
-    has been reused. *)
+    - [`Claimed key] — the claim was installed for this caller, which
+      must eventually {!resolve} [key]: the slice copied to an owned
+      string, so the claimant can resolve it after its encode buffer has
+      been reused.
+    [`Value]/[`Busy] outcomes allocate nothing. *)
 val find_or_claim_slice :
   'a t -> Bytes.t -> len:int -> owner:int -> 'a slice_claim
 
@@ -54,10 +48,3 @@ val resolve : 'a t -> string -> 'a -> unit
 
 (** [get t key] is the resolved value, [None] while absent or claimed. *)
 val get : 'a t -> string -> 'a option
-
-(** [length t] counts all bindings (claimed and resolved); exact when
-    quiescent, a racy snapshot under concurrency. *)
-val length : 'a t -> int
-
-(** [resolved t] counts resolved bindings only. *)
-val resolved : 'a t -> int

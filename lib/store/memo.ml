@@ -291,15 +291,6 @@ let get t key =
   Mutex.unlock sh.mutex;
   r
 
-let resolved t =
-  Array.fold_left
-    (fun a sh ->
-      Mutex.lock sh.mutex;
-      let n = sh.s_resolved in
-      Mutex.unlock sh.mutex;
-      a + n)
-    0 t.shards
-
 let stats t =
   let z =
     {

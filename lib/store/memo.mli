@@ -46,7 +46,9 @@ type stats = {
   bytes_read : int;
   bytes_written : int;  (** spill and compaction writes *)
   disk_hits : int;  (** probes answered from a segment file *)
-  resolved : int;  (** total resolved entries (RAM + disk) *)
+  resolved : int;
+      (** total resolved entries (RAM + disk); exactly-once claims make
+          this the solve's distinct-state count *)
   live_runs : int;  (** runs still live across all segments *)
   compactions : int;  (** run merges *)
   bytes_compacted : int;  (** file bytes written by merges and rewrites *)
@@ -78,10 +80,6 @@ val resolve : t -> string -> float -> unit
 
 (** [get t key] is the resolved value, [None] while absent or claimed. *)
 val get : t -> string -> float option
-
-(** [resolved t] — total entries ever resolved; with the exactly-once
-    protocol this equals the distinct-state count of the solve. *)
-val resolved : t -> int
 
 val stats : t -> stats
 

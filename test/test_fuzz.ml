@@ -231,6 +231,13 @@ let test_dist_oracle_healthy () =
   | None -> ()
   | Some f -> Alcotest.failf "dist oracle failed: %s" f.Fuzz.Oracle.detail
 
+(* Monte-Carlo and VA^1 identity at jobs 1 vs 4, then value vs
+   value_par ~jobs:2 on four random layered-DAG games *)
+let test_par_oracle_healthy () =
+  match Fuzz.Oracle.par_identity ~seed:7 ~trials:200 () with
+  | None -> ()
+  | Some f -> Alcotest.failf "par oracle failed: %s" f.Fuzz.Oracle.detail
+
 (* ---- committed regression corpus ------------------------------------- *)
 
 let corpus_dir = "corpus"
@@ -280,4 +287,6 @@ let tests =
       test_dist_oracle_healthy;
     Alcotest.test_case "committed corpus replays" `Quick
       test_replay_committed_corpus;
+    Alcotest.test_case "par oracle passes on the healthy solver" `Quick
+      test_par_oracle_healthy;
   ]

@@ -1,9 +1,9 @@
 (* The work-stealing solver's soundness battery: the Chase–Lev deque and
    the sharded claim table uphold their exactly-once contracts under
    concurrency, value_par is bit-identical to the sequential solve at
-   every job count with and without pruning, pruning only ever shrinks
-   the explored set while preserving values, and the parallel telemetry
-   is fresh (never describes work an intervening solve overwrote). *)
+   every job count, chance nodes fold left to right, and the parallel
+   telemetry is fresh (never describes work an intervening solve
+   overwrote). *)
 
 let exact = Alcotest.(check (float 0.0))
 
@@ -116,32 +116,33 @@ let test_deque_steal_stress () =
 
 (* ---- Par.Sharded_tbl ------------------------------------------------- *)
 
+let claim t key ~owner =
+  Par.Sharded_tbl.find_or_claim_slice t (Bytes.of_string key)
+    ~len:(String.length key) ~owner
+
 let test_tbl_claim_protocol () =
   let t : int Par.Sharded_tbl.t = Par.Sharded_tbl.create () in
-  (match Par.Sharded_tbl.find_or_claim t "k" ~owner:0 with
-  | `Claimed -> ()
-  | _ -> Alcotest.fail "first probe must claim");
-  (match Par.Sharded_tbl.find_or_claim t "k" ~owner:0 with
+  (match claim t "k" ~owner:0 with
+  | `Claimed "k" -> ()
+  | _ -> Alcotest.fail "first probe must claim, echoing the key");
+  (match claim t "k" ~owner:0 with
   | `Busy 0 -> ()  (* self re-entry: what the solver maps to Cyclic *)
   | _ -> Alcotest.fail "self re-probe must report own claim");
-  (match Par.Sharded_tbl.find_or_claim t "k" ~owner:1 with
+  (match claim t "k" ~owner:1 with
   | `Busy 0 -> ()
   | _ -> Alcotest.fail "other owner must see the claimant's id");
   Alcotest.(check (option int)) "claimed is not resolved" None
     (Par.Sharded_tbl.get t "k");
-  Alcotest.(check int) "length counts claims" 1 (Par.Sharded_tbl.length t);
-  Alcotest.(check int) "resolved excludes claims" 0 (Par.Sharded_tbl.resolved t);
   Par.Sharded_tbl.resolve t "k" 42;
-  (match Par.Sharded_tbl.find_or_claim t "k" ~owner:1 with
+  (match claim t "k" ~owner:1 with
   | `Value 42 -> ()
   | _ -> Alcotest.fail "post-resolve probe must return the value");
   Alcotest.(check (option int)) "get after resolve" (Some 42)
-    (Par.Sharded_tbl.get t "k");
-  Alcotest.(check int) "resolved" 1 (Par.Sharded_tbl.resolved t)
+    (Par.Sharded_tbl.get t "k")
 
 let test_tbl_double_resolve () =
   let t : int Par.Sharded_tbl.t = Par.Sharded_tbl.create () in
-  ignore (Par.Sharded_tbl.find_or_claim t "k" ~owner:0);
+  ignore (claim t "k" ~owner:0);
   Par.Sharded_tbl.resolve t "k" 1;
   match Par.Sharded_tbl.resolve t "k" 2 with
   | () -> Alcotest.fail "double resolve must raise"
@@ -157,9 +158,9 @@ let test_tbl_shard_rounding () =
     (Par.Sharded_tbl.shard_count
        (Par.Sharded_tbl.create ~shards:1 () : int Par.Sharded_tbl.t))
 
-(* Four domains race find_or_claim over the same key set, each visiting
-   the keys in a different order: every key must be claimed by exactly
-   one domain, and the claim sets must partition the key space. *)
+(* Four domains race find_or_claim_slice over the same key set, each
+   visiting the keys in a different order: every key must be claimed by
+   exactly one domain, and the claim sets must partition the key space. *)
 let test_tbl_concurrent_claims () =
   let t : int Par.Sharded_tbl.t = Par.Sharded_tbl.create () in
   let nkeys = 2_000 in
@@ -170,9 +171,9 @@ let test_tbl_concurrent_claims () =
       (* odd stride, coprime with the even key count: a full permutation,
          different per worker *)
       let i = ((j * ((2 * wid) + 1)) + (wid * 37)) mod nkeys in
-      match Par.Sharded_tbl.find_or_claim t keys.(i) ~owner:wid with
-      | `Claimed ->
-          Par.Sharded_tbl.resolve t keys.(i) wid;
+      match claim t keys.(i) ~owner:wid with
+      | `Claimed key ->
+          Par.Sharded_tbl.resolve t key wid;
           mine := i :: !mine
       | `Busy _ | `Value _ -> ()
     done;
@@ -184,7 +185,11 @@ let test_tbl_concurrent_claims () =
   Alcotest.(check int) "every key claimed exactly once" nkeys (List.length all);
   Alcotest.(check int) "claim sets disjoint" nkeys
     (List.length (List.sort_uniq compare all));
-  Alcotest.(check int) "every key resolved" nkeys (Par.Sharded_tbl.resolved t)
+  Array.iteri
+    (fun i key ->
+      if Par.Sharded_tbl.get t key = None then
+        Alcotest.failf "key %d claimed but never resolved" i)
+    keys
 
 (* ---- Par.Pool.scatter ------------------------------------------------ *)
 
@@ -204,7 +209,7 @@ let test_scatter_exactly_once () =
       Par.Pool.scatter pool ~n:5 (fun _ -> incr hit);
       Alcotest.(check int) "jobs=1 runs every index" 5 !hit)
 
-(* ---- determinism battery: value_par = value, prune on/off ------------ *)
+(* ---- determinism battery: value_par = value ------------------------- *)
 
 (* Fresh solver instances, so this battery cannot interfere with
    test_par.ml's instances over the same games. *)
@@ -214,154 +219,112 @@ module Va_s = Mdp.Solver.Make (Model.Weakener_va.Game)
 module Ghw_s = Mdp.Solver.Make (Model.Ghw_snapshot_game.Game)
 
 type 'a harness = {
-  value : ?prune:bool -> 'a -> float;
-  value_par : ?prune:bool -> jobs:int -> 'a -> float;
+  value : 'a -> float;
+  value_par : jobs:int -> 'a -> float;
   explored : unit -> int;
-  pruned : unit -> int;
   last : unit -> Mdp.Solver.par_stats option;
   reset : unit -> unit;
 }
 
 let atomic_h =
   {
-    value = (fun ?prune s -> Atomic_s.value ?prune s);
-    value_par = (fun ?prune ~jobs s -> Atomic_s.value_par ?prune ~jobs s);
+    value = (fun s -> Atomic_s.value s);
+    value_par = (fun ~jobs s -> Atomic_s.value_par ~jobs s);
     explored = Atomic_s.explored;
-    pruned = Atomic_s.pruned_subtrees;
     last = Atomic_s.last_par_stats;
     reset = Atomic_s.reset;
   }
 
 let abd_h =
   {
-    value = (fun ?prune s -> Abd_s.value ?prune s);
-    value_par = (fun ?prune ~jobs s -> Abd_s.value_par ?prune ~jobs s);
+    value = (fun s -> Abd_s.value s);
+    value_par = (fun ~jobs s -> Abd_s.value_par ~jobs s);
     explored = Abd_s.explored;
-    pruned = Abd_s.pruned_subtrees;
     last = Abd_s.last_par_stats;
     reset = Abd_s.reset;
   }
 
 let va_h =
   {
-    value = (fun ?prune s -> Va_s.value ?prune s);
-    value_par = (fun ?prune ~jobs s -> Va_s.value_par ?prune ~jobs s);
+    value = (fun s -> Va_s.value s);
+    value_par = (fun ~jobs s -> Va_s.value_par ~jobs s);
     explored = Va_s.explored;
-    pruned = Va_s.pruned_subtrees;
     last = Va_s.last_par_stats;
     reset = Va_s.reset;
   }
 
 let ghw_h =
   {
-    value = (fun ?prune s -> Ghw_s.value ?prune s);
-    value_par = (fun ?prune ~jobs s -> Ghw_s.value_par ?prune ~jobs s);
+    value = (fun s -> Ghw_s.value s);
+    value_par = (fun ~jobs s -> Ghw_s.value_par ~jobs s);
     explored = Ghw_s.explored;
-    pruned = Ghw_s.pruned_subtrees;
     last = Ghw_s.last_par_stats;
     reset = Ghw_s.reset;
   }
 
-(* For every job count and prune setting: values bit-identical to the
-   sequential solve. Unpruned parallel solves additionally evaluate each
-   shared-phase state exactly once: summed worker misses equal the
-   table's distinct key count bit-exactly, and no key is ever duplicated
-   — the shared-memo claim protocol's whole point, and the
-   duplicate-share < 5% acceptance bar met at 0. distinct_keys is
-   bounded by the sequential explored count (the root-side plan interior
-   is evaluated by the caller, outside the shared table). *)
+(* For every job count: values bit-identical to the sequential solve.
+   Parallel solves additionally evaluate each shared-phase state exactly
+   once: summed worker misses equal the table's distinct key count
+   bit-exactly, and no key is ever duplicated — the shared-memo claim
+   protocol's whole point, and the duplicate-share < 5% acceptance bar
+   met at 0. distinct_keys is bounded by the sequential explored count
+   (the root-side plan interior is evaluated by the caller, outside the
+   shared table). *)
 let check_matrix h name init jobs_list =
   h.reset ();
   let seq = h.value init in
   let n_seq = h.explored () in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun prune ->
-          h.reset ();
-          let v = h.value_par ~prune ~jobs init in
-          exact (Fmt.str "%s: value_par jobs=%d prune=%b" name jobs prune) seq v;
-          if (not prune) && jobs > 1 then
-            match h.last () with
-            | None -> Alcotest.failf "%s: jobs=%d left no telemetry" name jobs
-            | Some p ->
-                if p.distinct_keys <= 0 || p.distinct_keys > n_seq then
-                  Alcotest.failf
-                    "%s: jobs=%d distinct keys %d outside (0, %d] (sequential \
-                     state count)"
-                    name jobs p.distinct_keys n_seq;
-                Alcotest.(check int)
-                  (Fmt.str "%s: jobs=%d no duplicated keys" name jobs)
-                  0 p.duplicated_keys;
-                exact
-                  (Fmt.str "%s: jobs=%d duplicated work share" name jobs)
-                  0.0 p.duplicated_work_pct;
-                let summed =
-                  List.fold_left
-                    (fun acc (d : Mdp.Solver.domain_stats) ->
-                      acc + d.stats.memo_misses)
-                    0 p.domains
-                in
-                Alcotest.(check int)
-                  (Fmt.str "%s: jobs=%d each distinct key evaluated once" name
-                     jobs)
-                  p.distinct_keys summed)
-        [ false; true ])
+      h.reset ();
+      let v = h.value_par ~jobs init in
+      exact (Fmt.str "%s: value_par jobs=%d" name jobs) seq v;
+      if jobs > 1 then
+        match h.last () with
+        | None -> Alcotest.failf "%s: jobs=%d left no telemetry" name jobs
+        | Some p ->
+            if p.distinct_keys <= 0 || p.distinct_keys > n_seq then
+              Alcotest.failf
+                "%s: jobs=%d distinct keys %d outside (0, %d] (sequential \
+                 state count)"
+                name jobs p.distinct_keys n_seq;
+            Alcotest.(check int)
+              (Fmt.str "%s: jobs=%d no duplicated keys" name jobs)
+              0 p.duplicated_keys;
+            exact
+              (Fmt.str "%s: jobs=%d duplicated work share" name jobs)
+              0.0 p.duplicated_work_pct;
+            let summed =
+              List.fold_left
+                (fun acc (d : Mdp.Solver.domain_stats) ->
+                  acc + d.stats.memo_misses)
+                0 p.domains
+            in
+            Alcotest.(check int)
+              (Fmt.str "%s: jobs=%d each distinct key evaluated once" name jobs)
+              p.distinct_keys summed)
     jobs_list;
-  (* pruning is sound and monotone sequentially too *)
-  h.reset ();
-  let v_pruned = h.value ~prune:true init in
-  exact (Fmt.str "%s: pruned seq value" name) seq v_pruned;
-  let n_pruned = h.explored () in
-  Alcotest.(check bool)
-    (Fmt.str "%s: pruned explored %d <= unpruned %d" name n_pruned n_seq)
-    true (n_pruned <= n_seq);
-  h.reset ();
-  (n_seq, n_pruned)
+  h.reset ()
 
 let test_matrix_atomic () =
-  ignore (check_matrix atomic_h "atomic" Model.Weakener_atomic.init [ 1; 2; 4; 8 ])
+  check_matrix atomic_h "atomic" Model.Weakener_atomic.init [ 1; 2; 4; 8 ]
 
 let test_matrix_abd () =
-  let n_seq, n_pruned =
-    check_matrix abd_h "ABD^1" (Model.Weakener_abd.init ~k:1 ()) [ 2; 4; 8 ]
-  in
-  (* ABD^1's value is 1.0, so max cuts must actually fire: pruning
-     strictly reduces the explored set here, not just weakly *)
-  Alcotest.(check bool)
-    (Fmt.str "ABD^1: pruning strictly reduces exploration (%d < %d)" n_pruned
-       n_seq)
-    true (n_pruned < n_seq);
-  Abd_s.reset ();
-  let _ = Abd_s.value ~prune:true (Model.Weakener_abd.init ~k:1 ()) in
-  Alcotest.(check bool)
-    "ABD^1: cuts were taken" true
-    (Abd_s.pruned_subtrees () > 0);
-  Abd_s.reset ()
+  check_matrix abd_h "ABD^1" (Model.Weakener_abd.init ~k:1 ()) [ 2; 4; 8 ]
 
 let test_matrix_va () =
-  ignore (check_matrix va_h "VA^1" (Model.Weakener_va.init ~k:1) [ 2; 8 ])
+  check_matrix va_h "VA^1" (Model.Weakener_va.init ~k:1) [ 2; 8 ]
 
 let test_matrix_ghw () =
-  ignore (check_matrix ghw_h "ghw^1" (Model.Ghw_snapshot_game.init ~k:1) [ 2; 8 ])
+  check_matrix ghw_h "ghw^1" (Model.Ghw_snapshot_game.init ~k:1) [ 2; 8 ]
 
-(* ---- audit mode ------------------------------------------------------ *)
-
-let test_prune_audit_clean () =
-  Atomic_s.reset ();
-  Atomic_s.set_prune_audit true;
-  let v =
-    Fun.protect
-      ~finally:(fun () -> Atomic_s.set_prune_audit false)
-      (fun () -> Atomic_s.value ~prune:true Model.Weakener_atomic.init)
-  in
-  exact "audited pruned value" 0.5 v;
-  Atomic_s.reset ()
+(* ---- fold order ------------------------------------------------------ *)
 
 (* A root with a safe move to a terminal worth 1.0, then a uniform
-   [n]-way chance move to terminals worth 1.0. For n = 9 the float fold
-   of nine 1/9 terms is 1.0000000000000002 > hi = 1, so the max cut after
-   the safe move would change the value: a pruned solve must refuse. *)
+   [n]-way chance move to terminals worth 1.0. The chance value is the
+   left-to-right float fold of [n] terms [1/n *. 1.0]: nine 1/9 terms
+   round up to 1.0000000000000002, three 1/3 terms land on 1.0 — and the
+   max over moves keeps whichever fold is larger. *)
 module Split = struct
   type state = Root of int | Win of int
   type move = Safe | Split
@@ -388,27 +351,13 @@ end
 
 module Split_s = Mdp.Solver.Make (Split)
 
-let test_prune_rejects_unsound_chance () =
+let test_chance_fold_order () =
   Split_s.reset ();
   exact "nine 1/9 terms fold above 1" 1.0000000000000002
     (Split_s.value (Split.Root 9));
   Split_s.reset ();
-  (match Split_s.value ~prune:true (Split.Root 9) with
-  | v -> Alcotest.failf "pruned solve returned %.17g" v
-  | exception Invalid_argument _ -> ());
-  (* three 1/3 terms fold to exactly 1.0: pruning stays available *)
-  Split_s.reset ();
-  exact "3-way pruned" 1.0 (Split_s.value ~prune:true (Split.Root 3));
+  exact "three 1/3 terms fold to 1" 1.0 (Split_s.value (Split.Root 3));
   Split_s.reset ()
-
-let test_set_bounds_validation () =
-  (match Atomic_s.set_bounds ~lo:1.0 ~hi:0.0 with
-  | () -> Alcotest.fail "inverted bounds accepted"
-  | exception Invalid_argument _ -> ());
-  Atomic_s.set_bounds ~lo:0.0 ~hi:1.0;
-  let lo, hi = Atomic_s.bounds () in
-  exact "lo" 0.0 lo;
-  exact "hi" 1.0 hi
 
 (* ---- telemetry freshness (the staleness regression) ------------------ *)
 
@@ -444,7 +393,7 @@ let test_par_stats_counters () =
   | Some p ->
       Alcotest.(check bool) "steals >= 0" true (p.steals >= 0);
       Alcotest.(check bool) "claim_misses >= 0" true (p.claim_misses >= 0);
-      Alcotest.(check int) "no cuts without ~prune" 0 p.pruned_subtrees;
+      Alcotest.(check int) "pruned_subtrees is constant 0" 0 p.pruned_subtrees;
       let summed_hits =
         List.fold_left
           (fun acc (d : Mdp.Solver.domain_stats) -> acc + d.stats.memo_hits)
@@ -472,16 +421,12 @@ let tests =
       test_tbl_concurrent_claims;
     Alcotest.test_case "pool scatter runs each index once" `Quick
       test_scatter_exactly_once;
-    Alcotest.test_case "matrix: atomic, jobs 1/2/4/8 x prune" `Quick
-      test_matrix_atomic;
-    Alcotest.test_case "matrix: ABD^1, jobs 2/4/8 x prune + strict cuts" `Slow
-      test_matrix_abd;
-    Alcotest.test_case "matrix: VA^1, jobs 2/8 x prune" `Quick test_matrix_va;
-    Alcotest.test_case "matrix: ghw^1, jobs 2/8 x prune" `Quick test_matrix_ghw;
-    Alcotest.test_case "prune audit mode is clean" `Quick test_prune_audit_clean;
-    Alcotest.test_case "prune rejects a chance fold above hi" `Quick
-      test_prune_rejects_unsound_chance;
-    Alcotest.test_case "set_bounds validates" `Quick test_set_bounds_validation;
+    Alcotest.test_case "matrix: atomic, jobs 1/2/4/8" `Quick test_matrix_atomic;
+    Alcotest.test_case "matrix: ABD^1, jobs 2/4/8" `Slow test_matrix_abd;
+    Alcotest.test_case "matrix: VA^1, jobs 2/8" `Quick test_matrix_va;
+    Alcotest.test_case "matrix: ghw^1, jobs 2/8" `Quick test_matrix_ghw;
+    Alcotest.test_case "chance folds left to right" `Quick
+      test_chance_fold_order;
     Alcotest.test_case "par telemetry is never stale" `Quick
       test_par_stats_freshness;
     Alcotest.test_case "par telemetry counter invariants" `Quick

@@ -467,7 +467,7 @@ let test_memo_exactly_once_across_spills () =
   Alcotest.(check bool)
     "the budget forced spilling" true
     (s.Store.Memo.spilled_entries > 0 && s.Store.Memo.spill_runs > 0);
-  Alcotest.(check int) "every entry resolved once" n (Store.Memo.resolved st);
+  Alcotest.(check int) "every entry resolved once" n s.Store.Memo.resolved;
   (* every key — spilled or resident — still answers bit-exactly *)
   for i = 0 to n - 1 do
     match Store.Memo.get st (memo_key i) with
