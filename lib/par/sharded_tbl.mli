@@ -1,10 +1,10 @@
 (** A sharded concurrent hash table with a find-or-claim protocol.
 
-    Keys hash to one of [shard_count] independent shards, each a plain
-    [Hashtbl] behind its own mutex — the bucket-ownership idiom: because
-    a key belongs to exactly one shard, per-key operations never take
-    more than one lock, critical sections are a few instructions, and
-    [n] domains contend only when their keys collide on a shard.
+    Keys hash to one of [shard_count] independent shards, each a
+    {!Slice_tbl} behind its own mutex — the bucket-ownership idiom:
+    because a key belongs to exactly one shard, per-key operations never
+    take more than one lock, critical sections are a few instructions,
+    and [n] domains contend only when their keys collide on a shard.
 
     The claim protocol turns the table into a computation cache with an
     exactly-once guarantee. A slot is either [Claimed owner] (some caller
@@ -14,7 +14,18 @@
     caller is told [`Claimed] per key and computes it; everyone else
     either reads the value or knows who to wait for. The work-stealing
     solver keys this table by canonical game-state encodings: one domain
-    evaluates each state, the rest share the result. *)
+    evaluates each state, the rest share the result.
+
+    Reads of resolved keys take no lock. {!find_or_claim_slice} and
+    {!get} first read the shard unlocked and answer at once if the key
+    is [Done]; anything else (absent, or claimed) takes the shard lock
+    and decides there. This is sound because a [Done] value is written
+    once, under the lock, and never changed: a stale unlocked view can
+    only miss, and a miss is settled under the lock. Claims are only
+    installed under the lock, so the exactly-once guarantee is the
+    locked protocol's. The unlocked read indexes the one bucket array it
+    read by that array's own length, so a concurrent resize cannot send
+    it out of bounds. *)
 
 type 'a t
 
@@ -36,7 +47,9 @@ type 'a slice_claim = [ `Value of 'a | `Busy of int | `Claimed of string ]
       must eventually {!resolve} [key]: the slice copied to an owned
       string, so the claimant can resolve it after its encode buffer has
       been reused.
-    [`Value]/[`Busy] outcomes allocate nothing. *)
+    No outcome copies the key except [`Claimed]; the result variant
+    itself is a small block. The hash is computed once and serves both
+    the shard routing and the shard probe. *)
 val find_or_claim_slice :
   'a t -> Bytes.t -> len:int -> owner:int -> 'a slice_claim
 

@@ -16,8 +16,7 @@
 type 'a entry = { hash : int; key : string; mutable value : 'a }
 
 type 'a t = {
-  mutable buckets : 'a entry list array;
-  mutable mask : int;  (* Array.length buckets - 1; power of two *)
+  mutable buckets : 'a entry list array;  (* length a power of two *)
   mutable size : int;
   mutable fresh : bool;  (* did the last probe insert? *)
 }
@@ -27,7 +26,7 @@ let create ?(size = 1024) () =
   while !cap < size do
     cap := !cap * 2
   done;
-  { buckets = Array.make !cap []; mask = !cap - 1; size = 0; fresh = false }
+  { buckets = Array.make !cap []; size = 0; fresh = false }
 
 let length t = t.size
 let last_was_new t = t.fresh
@@ -37,26 +36,45 @@ let clear t =
   t.size <- 0;
   t.fresh <- false
 
-(* FNV-1a over the bytes, folded in OCaml's native int (wrapping
-   multiplication is fine — both forms below MUST fold identically so a
-   slice and its materialized string always land in the same chain, and
-   in the same shard of a sharded wrapper). *)
-let fnv_prime = 0x100000001b3
-let fnv_seed = 0x3bf29ce484222325
+(* The key hash. Whole 8-byte little-endian words are scrambled and
+   folded in one multiply-xor step each (the body of MurmurHash64A),
+   the 0-7 tail bytes are packed into one more word, and MurmurHash3's
+   64-bit finalizer avalanches the result, so every input bit reaches
+   both the low bits (bucket index) and bits 17 and up (shard routing
+   in {!Sharded_tbl} and [Store.Memo]). The arithmetic is [int64] held
+   in let-bound and ref-held locals, which the compiler keeps unboxed:
+   the hash allocates nothing. *)
+let m = 0xc6a4a7935bd1e995L
+
+let[@inline] mix_word h w =
+  let k = Int64.mul w m in
+  let k = Int64.mul (Int64.logxor k (Int64.shift_right_logical k 47)) m in
+  Int64.mul (Int64.logxor h k) m
+
+let[@inline] finish h tail =
+  let h = Int64.mul (Int64.logxor h (Int64.of_int tail)) m in
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xff51afd7ed558ccdL in
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
+  Int64.to_int (Int64.logxor h (Int64.shift_right_logical h 33))
 
 let hash_slice data len =
-  let h = ref fnv_seed in
-  for i = 0 to len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get data i)) * fnv_prime
+  let h = ref (Int64.mul (Int64.of_int len) m) in
+  let i = ref 0 in
+  while !i + 8 <= len do
+    h := mix_word !h (Bytes.get_int64_le data !i);
+    i := !i + 8
   done;
-  !h
+  let tail = ref 0 in
+  for j = len - 1 downto !i do
+    tail := (!tail lsl 8) lor Char.code (Bytes.get data j)
+  done;
+  finish !h !tail
 
-let hash_string s =
-  let h = ref fnv_seed in
-  for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
-  done;
-  !h
+(* The string form is the slice form over the string's own bytes
+   ([hash_slice] only reads them), so the two agree by construction. *)
+let hash_string s = hash_slice (Bytes.unsafe_of_string s) (String.length s)
 
 (* Word-wise equality: 8 bytes per iteration. The [int64] comparisons
    are compiler-specialized (monomorphic annotation) so the loads stay
@@ -76,29 +94,33 @@ and tail_match key data len i =
 let[@inline] slice_matches key data len =
   String.length key = len && words_match key data len 0
 
+(* The chain [h] lives in. The index comes from [buckets]' own length,
+   never from a separately stored mask, so a reader holding an array
+   that [grow] has since replaced still indexes inside it. *)
+let[@inline] chain buckets h = buckets.(h land (Array.length buckets - 1))
+
 let grow t =
   let old = t.buckets in
   let cap = Array.length old * 2 in
   let buckets = Array.make cap [] in
-  let mask = cap - 1 in
   Array.iter
     (fun chain ->
       List.iter
         (fun e ->
-          let i = e.hash land mask in
+          let i = e.hash land (cap - 1) in
           buckets.(i) <- e :: buckets.(i))
         chain)
     old;
-  t.buckets <- buckets;
-  t.mask <- mask
+  t.buckets <- buckets
 
 let[@inline] insert t h key default =
   let e = { hash = h; key; value = default } in
-  let i = h land t.mask in
-  t.buckets.(i) <- e :: t.buckets.(i);
+  let buckets = t.buckets in
+  let i = h land (Array.length buckets - 1) in
+  buckets.(i) <- e :: buckets.(i);
   t.size <- t.size + 1;
   t.fresh <- true;
-  if t.size > Array.length t.buckets then grow t;
+  if t.size > Array.length buckets then grow t;
   e
 
 (* Chain walks as top-level fully-applied recursions: an inner [let rec]
@@ -112,9 +134,11 @@ let rec probe_slice_chain t h data len default = function
       end
       else probe_slice_chain t h data len default rest
 
+let probe_slice_hashed t ~hash data ~len ~default =
+  probe_slice_chain t hash data len default (chain t.buckets hash)
+
 let probe_slice t data ~len ~default =
-  let h = hash_slice data len in
-  probe_slice_chain t h data len default t.buckets.(h land t.mask)
+  probe_slice_hashed t ~hash:(hash_slice data len) data ~len ~default
 
 let rec probe_string_chain t h key default = function
   | [] -> insert t h key default
@@ -125,9 +149,11 @@ let rec probe_string_chain t h key default = function
       end
       else probe_string_chain t h key default rest
 
+let probe_string_hashed t ~hash key ~default =
+  probe_string_chain t hash key default (chain t.buckets hash)
+
 let probe_string t key ~default =
-  let h = hash_string key in
-  probe_string_chain t h key default t.buckets.(h land t.mask)
+  probe_string_hashed t ~hash:(hash_string key) key ~default
 
 let rec find_slice_chain h data len = function
   | [] -> None
@@ -135,9 +161,8 @@ let rec find_slice_chain h data len = function
       if e.hash = h && slice_matches e.key data len then Some e
       else find_slice_chain h data len rest
 
-let find_slice t data ~len =
-  let h = hash_slice data len in
-  find_slice_chain h data len t.buckets.(h land t.mask)
+let find_slice_hashed t ~hash data ~len =
+  find_slice_chain hash data len (chain t.buckets hash)
 
 let rec find_string_chain h key = function
   | [] -> None
@@ -145,9 +170,10 @@ let rec find_string_chain h key = function
       if e.hash = h && String.equal e.key key then Some e
       else find_string_chain h key rest
 
-let find_string t key =
-  let h = hash_string key in
-  find_string_chain h key t.buckets.(h land t.mask)
+let find_string_hashed t ~hash key =
+  find_string_chain hash key (chain t.buckets hash)
+
+let find_string t key = find_string_hashed t ~hash:(hash_string key) key
 
 let iter t f =
   Array.iter (fun chain -> List.iter (fun e -> f e.key e.value) chain) t.buckets

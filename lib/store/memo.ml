@@ -210,7 +210,7 @@ let find_or_claim_slice t data ~len ~owner =
   let sh = shard_of_hash t hash in
   Mutex.lock sh.mutex;
   let r =
-    match Par.Slice_tbl.find_slice sh.ram data ~len with
+    match Par.Slice_tbl.find_slice_hashed sh.ram ~hash data ~len with
     | Some e -> (
         match e.Par.Slice_tbl.value with
         | Done v -> `Value v
@@ -227,7 +227,7 @@ let find_or_claim_slice t data ~len ~owner =
             `Value v
         | None ->
             let e =
-              Par.Slice_tbl.probe_slice sh.ram data ~len
+              Par.Slice_tbl.probe_slice_hashed sh.ram ~hash data ~len
                 ~default:(Claimed owner)
             in
             sh.resident <- sh.resident + len + entry_overhead;
@@ -240,7 +240,7 @@ let resolve t key v =
   let hash = Par.Slice_tbl.hash_string key in
   let sh = shard_of_hash t hash in
   Mutex.lock sh.mutex;
-  (match Par.Slice_tbl.find_string sh.ram key with
+  (match Par.Slice_tbl.find_string_hashed sh.ram ~hash key with
   | Some e -> (
       match e.Par.Slice_tbl.value with
       | Claimed _ -> e.Par.Slice_tbl.value <- Done v
@@ -259,7 +259,8 @@ let resolve t key v =
       | _ -> ());
       (* a resolve may race no one here (claims precede resolves), but
          mirror Sharded_tbl: resolving an absent key inserts it *)
-      ignore (Par.Slice_tbl.probe_string sh.ram key ~default:(Done v));
+      ignore
+        (Par.Slice_tbl.probe_string_hashed sh.ram ~hash key ~default:(Done v));
       sh.resident <- sh.resident + String.length key + entry_overhead);
   sh.ram_done <- sh.ram_done + 1;
   sh.s_resolved <- sh.s_resolved + 1;
@@ -275,7 +276,7 @@ let get t key =
   let sh = shard_of_hash t hash in
   Mutex.lock sh.mutex;
   let r =
-    match Par.Slice_tbl.find_string sh.ram key with
+    match Par.Slice_tbl.find_string_hashed sh.ram ~hash key with
     | Some e -> (
         match e.Par.Slice_tbl.value with Done v -> Some v | Claimed _ -> None)
     | None -> (

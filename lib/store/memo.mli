@@ -6,7 +6,8 @@
     Keys are canonical state encodings (the {!Mdp.Key} byte packing);
     values are floats, stored as IEEE-754 bits so budgeted and in-RAM
     solves return bit-identical values. Keys hash to one of [shards]
-    independent shards (same FNV routing as {!Par.Slice_tbl}), each a
+    independent shards (routed on bits 17 and up of
+    {!Par.Slice_tbl.hash_slice}, hashed once per operation), each a
     {!Par.Slice_tbl} of live claims and recently resolved values behind
     its own mutex, plus one segment file.
 

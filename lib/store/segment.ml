@@ -42,10 +42,11 @@ let rec level n = if n = 0 then 0 else 1 + level (n lsr 1)
 
 (* ---- bloom filters ----------------------------------------------------
 
-   Two probes per key, both derived from the stored 64-bit FNV hash: the
-   raw hash and a multiplicative remix. 8 bits per entry gives a few
-   percent false positives — each false positive costs one fence-group
-   read through the cache, never a wrong answer. Sized exactly rather
+   Two probes per key, both derived from the stored key hash
+   ({!Par.Slice_tbl.hash_slice}): the raw hash and a multiplicative
+   remix. 8 bits per entry gives a few percent false positives — each
+   false positive costs one fence-group read through the cache, never a
+   wrong answer. Sized exactly rather
    than to a power of two: merged runs are large, and rounding up
    measurably raised the budgeted solve's peak RSS. *)
 

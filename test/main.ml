@@ -18,6 +18,7 @@ let () =
       ("model-va", Test_model.va_tests);
       ("adversary", Test_adversary.tests);
       ("par", Test_par.tests);
+      ("slice-tbl", Test_slice_tbl.tests);
       ("solver-inplace", Test_inplace.tests);
       ("solver-par", Test_solver_par.tests);
       ("store", Test_store.tests);

@@ -191,6 +191,58 @@ let test_tbl_concurrent_claims () =
         Alcotest.failf "key %d claimed but never resolved" i)
     keys
 
+(* Lock-free hits under resizes: on a single shard, one domain claims
+   and resolves 50 000 keys (growing the shard table from 512 buckets
+   through seven doublings) while another probes keys already resolved
+   (published through [upto]) and a key held claimed throughout. A
+   resolved key must always read as its value, through both
+   find_or_claim_slice and get; the held key must always answer
+   [`Busy 0]; no probe may raise. *)
+let test_tbl_unlocked_reads_during_grow () =
+  let t : int Par.Sharded_tbl.t = Par.Sharded_tbl.create ~shards:1 () in
+  let n = 50_000 in
+  let keys = Array.init n (fun i -> "key:" ^ string_of_int i) in
+  (match claim t "held" ~owner:0 with
+  | `Claimed _ -> ()
+  | _ -> Alcotest.fail "the held key must claim");
+  let upto = Atomic.make 0 and finished = Atomic.make false in
+  let reader () =
+    let rng = Random.State.make [| 7 |] and probes = ref 0 in
+    while not (Atomic.get finished) do
+      let m = Atomic.get upto in
+      if m > 0 then begin
+        let i = Random.State.int rng m in
+        (match claim t keys.(i) ~owner:1 with
+        | `Value v when v = 3 * i -> ()
+        | `Value v -> Alcotest.failf "key %d read as %d" i v
+        | `Busy o ->
+            Alcotest.failf "resolved key %d read as busy (owner %d)" i o
+        | `Claimed _ -> Alcotest.failf "resolved key %d claimed again" i);
+        if Par.Sharded_tbl.get t keys.(i) <> Some (3 * i) then
+          Alcotest.failf "get of resolved key %d" i;
+        incr probes
+      end;
+      match claim t "held" ~owner:1 with
+      | `Busy 0 -> ()
+      | _ -> Alcotest.fail "the held claim must answer `Busy 0"
+    done;
+    !probes
+  in
+  let d = Domain.spawn reader in
+  Array.iteri
+    (fun i k ->
+      match claim t k ~owner:0 with
+      | `Claimed key ->
+          Par.Sharded_tbl.resolve t key (3 * i);
+          Atomic.set upto (i + 1)
+      | _ -> Alcotest.failf "key %d was not fresh" i)
+    keys;
+  Atomic.set finished true;
+  let probes = Domain.join d in
+  Alcotest.(check bool) "the reader probed" true (probes > 0);
+  Alcotest.(check (option int)) "held key unresolved" None
+    (Par.Sharded_tbl.get t "held")
+
 (* ---- Par.Pool.scatter ------------------------------------------------ *)
 
 let test_scatter_exactly_once () =
@@ -419,6 +471,8 @@ let tests =
       test_tbl_shard_rounding;
     Alcotest.test_case "sharded_tbl: concurrent claims partition" `Quick
       test_tbl_concurrent_claims;
+    Alcotest.test_case "sharded_tbl: unlocked reads during grows" `Quick
+      test_tbl_unlocked_reads_during_grow;
     Alcotest.test_case "pool scatter runs each index once" `Quick
       test_scatter_exactly_once;
     Alcotest.test_case "matrix: atomic, jobs 1/2/4/8" `Quick test_matrix_atomic;
